@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateChordError, DomainError
 
+_new_tuple = tuple.__new__
+
 
 class Point2(NamedTuple):
     """A 2D point, in pixel units."""
@@ -43,7 +45,8 @@ def blend(u: float) -> BlendingVector:
     v = 1.0 - u
     vv = v * v
     uu = u * u
-    return BlendingVector(v * vv, 3.0 * u * vv, 3.0 * uu * v, u * uu)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return _new_tuple(BlendingVector, (v * vv, 3.0 * u * vv, 3.0 * uu * v, u * uu))
 
 
 def evaluate(c: CubicBezier, u: float) -> Point2:

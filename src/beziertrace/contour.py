@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 from .bezier_core import Point2
@@ -19,7 +18,12 @@ log = logging.getLogger(__name__)
 # Moore neighborhood in clockwise screen order (y grows downward), E first.
 _CW8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 _CW8_INDEX = {d: i for i, d in enumerate(_CW8)}
-_N4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# Tracing marks, kept in a 0/1 copy of the bits: a loop visited the pixel; a
+# loop already follows the crack between the pixel and its east neighbour.
+_VISITED = 2
+_EAST_CLOSED = 4
+# any nonzero byte is object, as in RasterImage.at
+_AS_BIT = bytes([0] + [1] * 255)
 
 
 @dataclass
@@ -80,6 +84,9 @@ class ContourDocument:
 
 
 # --------------------------- portable bitmap input ---------------------------
+
+# one packed P4 byte as its eight pixels, most significant bit first
+_UNPACK = [bytes((b >> (7 - i)) & 1 for i in range(8)) for b in range(256)]
 
 
 class _Scanner:
@@ -142,9 +149,9 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
     height = sc.read_int("height")
     if width <= 0 or height <= 0:
         raise sc.error(f"bad dimensions {width}x{height}")
-    bits = bytearray(width * height)
 
     if kind == "plain":
+        bits = bytearray(width * height)
         count = 0
         total = width * height
         while count < total:
@@ -174,46 +181,50 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
                 offset=len(data))
         if len(data) - sc.pos > need:
             raise sc.error("trailing data after raster", offset=sc.pos + need)
-        base = sc.pos
-        for y in range(height):
-            row = base + y * stride
-            for x in range(width):
-                byte = data[row + (x >> 3)]
-                if (byte >> (7 - (x & 7))) & 1:
-                    bits[y * width + x] = 1
+        unpack = _UNPACK.__getitem__
+        bits = bytearray().join(
+            b"".join(map(unpack, data[row:row + stride]))[:width]
+            for row in range(sc.pos, sc.pos + need, stride))
     return RasterImage(width, height, bits)
 
 
 # ------------------------------ boundary tracing -----------------------------
 
 
-def _next_boundary_pixel(img, cur, back):
-    """Clockwise Moore scan around cur starting after back.
+def _next_boundary_pixel(img, marks, cur, back):
+    """Clockwise Moore scan around cur starting at back.
 
     Returns the next object pixel and the background pixel scanned just
     before it (the new backtrack), or (None, None) for an isolated pixel.
+    Flags cur east-closed if its in-image east neighbour is scanned.
     """
     cx, cy = cur
     start = _CW8_INDEX[(back[0] - cx, back[1] - cy)]
     prev = back
-    for step in range(1, 9):
-        dx, dy = _CW8[(start + step) % 8]
+    for step in range(8):  # step 0 is back itself, always background
+        k = (start + step) % 8
+        dx, dy = _CW8[k]
         cand = (cx + dx, cy + dy)
         if img.at(*cand):
             return cand, prev
+        if k == 0 and cx + 1 < img.width:
+            marks[cy * img.width + cx] |= _EAST_CLOSED
         prev = cand
     return None, None
 
 
-def _moore_trace(img, start, backtrack):
+def _moore_trace(img, marks, start, backtrack):
     """Follow one boundary loop from start; stops on Jacob's criterion
-    (re-entering the start pixel from the original backtrack)."""
+    (re-entering the start pixel from the original backtrack).  Every pixel
+    the loop visits is flagged visited in marks."""
+    w = img.width
+    marks[start[1] * w + start[0]] |= _VISITED
     loop = [start]
     first_state = (start, backtrack)
     seen = {first_state}
     cur, back = start, backtrack
     while True:
-        nxt, nb = _next_boundary_pixel(img, cur, back)
+        nxt, nb = _next_boundary_pixel(img, marks, cur, back)
         if nxt is None:
             return loop
         state = (nxt, nb)
@@ -223,6 +234,7 @@ def _moore_trace(img, start, backtrack):
             return loop
         seen.add(state)
         loop.append(nxt)
+        marks[nxt[1] * w + nxt[0]] |= _VISITED
         cur, back = nxt, nb
 
 
@@ -241,69 +253,42 @@ def _loop_violation(points) -> str | None:
     return None
 
 
-def _flood(bits, width, height, want, neighbors):
-    """Label connected components of pixels whose object-ness equals want;
-    returns the component seeds (row-major first pixels) and the label grid."""
-    labels = [-1] * (width * height)
-    seeds = []
-    for idx in range(width * height):
-        if labels[idx] >= 0 or bool(bits[idx]) != want:
-            continue
-        label = len(seeds)
-        seeds.append((idx % width, idx // width))
-        labels[idx] = label
-        queue = deque([idx])
-        while queue:
-            at = queue.popleft()
-            px = at % width
-            py = at // width
-            for dx, dy in neighbors:
-                qx = px + dx
-                qy = py + dy
-                if 0 <= qx < width and 0 <= qy < height:
-                    qidx = qy * width + qx
-                    if labels[qidx] < 0 and bool(bits[qidx]) == want:
-                        labels[qidx] = label
-                        queue.append(qidx)
-    return seeds, labels
-
-
 def trace_boundaries(img: RasterImage) -> list[Contour]:
     """Trace every outer and hole boundary of the object pixels.
 
-    Moore-neighbor tracing with Jacob's stopping criterion; the object is
-    8-connected, the background 4-connected.  Loops are returned ordered by
-    the (row, column) of their topmost-leftmost pixel; outer loops are
-    oriented to positive shoelace area and holes to negative.  Regions whose
-    boundary cannot form a valid loop (single pixels, one-pixel-wide
-    features that force a pixel to repeat) are dropped with a warning.
+    One raster scan finds each border at its first pixel (Suzuki & Abe,
+    1985) from the marks earlier traces left; Moore-neighbor tracing with
+    Jacob's stopping criterion follows it.  The object is 8-connected, the
+    background 4-connected.  Loops are returned ordered by the (row, column)
+    of their topmost-leftmost pixel; outer loops are oriented to positive
+    shoelace area and holes to negative.  Regions whose boundary cannot form
+    a valid loop (single pixels, one-pixel-wide features that force a pixel
+    to repeat) are dropped with a warning.
     """
     w, h = img.width, img.height
-
-    obj_seeds, _ = _flood(img.bits, w, h, True, _CW8)
-    bg_seeds, bg_labels = _flood(img.bits, w, h, False, _N4)
-    touches_border = [False] * len(bg_seeds)
+    bits = img.bits.translate(_AS_BIT)
+    marks = bytearray(bits)
+    outers, holes = [], []  # pixel lists, each kind in raster order
     for y in range(h):
-        for x in (0, w - 1):
-            lbl = bg_labels[y * w + x]
-            if lbl >= 0:
-                touches_border[lbl] = True
-    for x in range(w):
-        for y in (0, h - 1):
-            lbl = bg_labels[y * w + x]
-            if lbl >= 0:
-                touches_border[lbl] = True
+        row = y * w
+        end = row + w
+        s = bits.find(1, row, end)
+        while s >= 0:
+            e = bits.find(0, s, end)
+            if e < 0:
+                e = end
+            if not marks[s] & _VISITED:  # first pixel of a new object
+                outers.append(_moore_trace(img, marks, (s - row, y),
+                                           (s - row - 1, y)))
+            if (e < end and y > 0 and bits[e - w]
+                    and not marks[e - 1] & _EAST_CLOSED):
+                # east of the run, below object, on no traced loop: a new hole
+                holes.append(_moore_trace(img, marks, (e - row, y - 1),
+                                          (e - row, y)))
+            s = bits.find(1, e, end)
 
-    raw: list[tuple[list[tuple[int, int]], bool]] = []  # (pixels, is_hole)
-    for sx, sy in obj_seeds:
-        # west of the topmost-leftmost component pixel is never object
-        raw.append((_moore_trace(img, (sx, sy), (sx - 1, sy)), False))
-    for lbl, (sx, sy) in enumerate(bg_seeds):
-        if touches_border[lbl]:
-            continue
-        # the pixel above a hole's topmost-leftmost pixel is object
-        raw.append((_moore_trace(img, (sx, sy - 1), (sx, sy)), True))
-
+    raw = [(pixels, False) for pixels in outers]
+    raw += [(pixels, True) for pixels in holes]
     contours: list[tuple[tuple, Contour]] = []
     for seq, (pixels, is_hole) in enumerate(raw):
         problem = _loop_violation(pixels)
@@ -362,9 +347,9 @@ def read_contour(path: str) -> ContourDocument:
         if key not in payload:
             raise fail(key, "missing field")
     width, height = payload["width"], payload["height"]
-    if not isinstance(width, int) or width <= 0:
+    if isinstance(width, bool) or not isinstance(width, int) or width <= 0:
         raise fail("width", f"expected a positive integer, got {width!r}")
-    if not isinstance(height, int) or height <= 0:
+    if isinstance(height, bool) or not isinstance(height, int) or height <= 0:
         raise fail("height", f"expected a positive integer, got {height!r}")
     if not isinstance(payload["contours"], list):
         raise fail("contours", "expected a list")

@@ -181,9 +181,16 @@ def read_spline(path: str) -> SplineDocument:
     for key in ("width", "height", "contours"):
         if key not in payload:
             raise fail(key, "missing field")
-    width, height = payload["width"], payload["height"]
-    if not isinstance(width, int) or not isinstance(height, int):
-        raise fail("width/height", "expected integers")
+
+    def integer(value, where, least) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise fail(where, f"expected an integer >= {least}, got {value!r}")
+        return value
+
+    width = integer(payload["width"], "width", 1)
+    height = integer(payload["height"], "height", 1)
+    if not isinstance(payload["contours"], list):
+        raise fail("contours", "expected a list")
 
     def number(value, where) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -196,10 +203,11 @@ def read_spline(path: str) -> SplineDocument:
     splines = []
     for ci, entry in enumerate(payload["contours"]):
         where = f"contours[{ci}]"
-        if not isinstance(entry, dict) or "segments" not in entry:
-            raise fail(where, "expected an object with segments")
+        raw_segments = entry.get("segments") if isinstance(entry, dict) else None
+        if not isinstance(raw_segments, list):
+            raise fail(where, "expected an object with a segments list")
         segments = []
-        for si, seg in enumerate(entry["segments"]):
+        for si, seg in enumerate(raw_segments):
             sw = f"{where}.segments[{si}]"
             if not isinstance(seg, dict):
                 raise fail(sw, "expected an object")
@@ -231,8 +239,8 @@ def read_spline(path: str) -> SplineDocument:
             raise fail("report", "expected an object")
         try:
             report = FitReport(
-                n_points=int(rep["n_points"]),
-                n_segments=int(rep["n_segments"]),
+                n_points=integer(rep["n_points"], "report.n_points", 0),
+                n_segments=integer(rep["n_segments"], "report.n_segments", 0),
                 max_dev=number(rep["max_dev"], "report.max_dev"),
                 avg_error=number(rep["avg_error"], "report.avg_error"),
                 compression_ratio=number(rep["compression_ratio"],

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import beziertrace
 from beziertrace.cli import main
 from beziertrace.contour import ContourDocument, trace_boundaries, write_contour
 from beziertrace.bezier_core import Point2
@@ -170,6 +172,15 @@ def test_exit_code_format_error(tmp_path, capsys):
     assert main(["corners", str(bad)]) == 2
 
 
+def test_metrics_malformed_spline_is_format_error(tmp_path, rect_pbm, capsys):
+    contours = _trace(tmp_path, rect_pbm)
+    bad = tmp_path / "s.json"
+    bad.write_text('{"format_version": 1, "width": 48, "height": 38, '
+                   '"contours": 5}')
+    assert main(["metrics", str(contours), str(bad)]) == 2
+    assert "contours" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # a single valid loop too short to carry the default support chord
     img = filled_rect_image(8, 8, 3, 3, 4, 4)
@@ -219,10 +230,13 @@ def test_fit_repeat_flag(tmp_path, rect_pbm, capsys):
 
 def test_module_entry_point(tmp_path, rect_pbm):
     out = tmp_path / "m.json"
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(beziertrace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "beziertrace", "trace", str(rect_pbm),
          "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "traced 1 loop(s)" in proc.stdout
 

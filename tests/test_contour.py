@@ -11,6 +11,7 @@ from beziertrace.errors import FormatError
 from helpers import (boundary_pixel_set, circle_image, filled_rect_image,
                      pbm_plain_bytes, pbm_raw_bytes, pixels_adjacent_to,
                      rect_with_hole_image)
+from _reference import reference_trace
 
 
 # ------------------------------ bitmap parsing -------------------------------
@@ -90,6 +91,16 @@ def test_pbm_roundtrip_helpers(tmp_path):
     raw.write_bytes(pbm_raw_bytes(img))
     assert load_image(plain).bits == img.bits
     assert load_image(raw).bits == img.bits
+
+
+def test_raw_pbm_partial_last_byte(tmp_path):
+    rng = random.Random(17)
+    for width in (1, 7, 8, 9, 17):
+        bits = bytearray(rng.random() < 0.5 for _ in range(width * 3))
+        img = RasterImage(width, 3, bits)
+        raw = tmp_path / f"w{width}.pbm"
+        raw.write_bytes(pbm_raw_bytes(img))
+        assert load_image(raw).bits == bits
 
 
 # ----------------------------- boundary tracing ------------------------------
@@ -182,6 +193,34 @@ def test_one_pixel_wide_whisker_dropped():
     assert trace_boundaries(img) == []
 
 
+def _oracle_bitmaps():
+    rng = random.Random(0x7ACE)
+    for _ in range(300):  # noise
+        w, h = rng.randint(1, 24), rng.randint(1, 24)
+        density = rng.uniform(0.2, 0.8)
+        yield w, h, bytearray(rng.random() < density for _ in range(w * h))
+    for _ in range(60):  # rectangles, then holes and islands cut into them
+        w, h = rng.randint(1, 60), rng.randint(1, 60)
+        bits = bytearray(w * h)
+        for i in range(rng.randint(1, 8)):
+            x0, y0 = rng.randrange(w), rng.randrange(h)
+            x1, y1 = rng.randint(x0, w - 1), rng.randint(y0, h - 1)
+            value = i % 2 == 0
+            for y in range(y0, y1 + 1):
+                bits[y * w + x0:y * w + x1 + 1] = bytes([value]) * (x1 - x0 + 1)
+        yield w, h, bits
+    for w, h in ((1, 1), (1, 9), (9, 1), (7, 5)):
+        yield w, h, bytearray(w * h)
+        yield w, h, bytearray(b"\x01" * (w * h))
+        yield w, h, bytearray(b"\x01\x00" * (w * h))[:w * h]
+
+
+def test_trace_matches_two_flood_oracle():
+    for w, h, bits in _oracle_bitmaps():
+        got = [c.points for c in trace_boundaries(RasterImage(w, h, bits))]
+        assert got == reference_trace(w, h, bits), (w, h, bytes(bits))
+
+
 # ----------------------------- contour documents -----------------------------
 
 
@@ -235,3 +274,15 @@ def test_contour_rejects_missing_field(tmp_path):
     with pytest.raises(FormatError) as err:
         read_contour(path)
     assert "height" in str(err.value)
+
+
+@pytest.mark.parametrize("width, height, bad", [
+    ("true", "4", "width"), ("4", "false", "height"),
+    ("0", "4", "width"), ("4", "-2", "height"),
+])
+def test_contour_rejects_bad_dimensions(tmp_path, width, height, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"width":{width},"height":{height},"contours":[]}}')
+    with pytest.raises(FormatError) as err:
+        read_contour(path)
+    assert bad in str(err.value)

@@ -140,6 +140,35 @@ def test_read_spline_rejects_bad_controls(tmp_path):
     assert "controls" in str(err.value)
 
 
+_GOOD_REPORT = ('{"n_points": 4, "n_segments": 1, "max_dev": 0, "avg_error": 0,'
+                ' "compression_ratio": 4, "wall_time": null}')
+
+
+@pytest.mark.parametrize("fields", [
+    '"width": true, "height": 4, "contours": []',
+    '"width": 0, "height": 4, "contours": []',
+    '"width": 4, "height": -1, "contours": []',
+    '"width": 4, "height": 4, "contours": 5',
+    '"width": 4, "height": 4, "contours": {"segments": []}',
+    '"width": 4, "height": 4, "contours": [{"segments": 3}]',
+    '"width": 4, "height": 4, "contours": [{"segments": "abc"}]',
+    '"width": 4, "height": 4, "contours": [], "report": '
+    + _GOOD_REPORT.replace('"n_points": 4', '"n_points": null'),
+    '"width": 4, "height": 4, "contours": [], "report": '
+    + _GOOD_REPORT.replace('"n_points": 4', '"n_points": "four"'),
+    '"width": 4, "height": 4, "contours": [], "report": '
+    + _GOOD_REPORT.replace('"n_segments": 1', '"n_segments": true'),
+])
+def test_read_spline_rejects_malformed_fields(tmp_path, fields):
+    p = tmp_path / "bad.json"
+    p.write_text('{"format_version": 1, ' + fields + '}')
+    with pytest.raises(FormatError):
+        read_spline(p)
+    p.write_text('{"format_version": 1, "width": 4, "height": 4, "contours": [],'
+                 ' "report": ' + _GOOD_REPORT + '}')
+    assert read_spline(p).report.n_points == 4
+
+
 def test_write_spline_rejects_nan(tmp_path):
     bad = CubicBezier(Point2(float("nan"), 0), Point2(0, 0), Point2(1, 1),
                       Point2(2, 2))

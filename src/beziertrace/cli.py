@@ -321,6 +321,8 @@ def cmd_metrics(args) -> int:
         raise ConsistencyError(
             f"spline document has {len(sdoc.splines)} loop(s) but the "
             f"contour document has {len(contours)} fittable loop(s)")
+    if not contours:
+        raise ConsistencyError("no loop could be fitted")
     t0 = time.perf_counter()
     report = fit_report(list(zip(contours, sdoc.splines)))
     report.wall_time = time.perf_counter() - t0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bezier_core import CubicBezier, Point2, evaluate
+from .bezier_core import CubicBezier, Point2
 from .errors import ConsistencyError, DomainError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,35 +46,14 @@ def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]
     return xs, ys
 
 
-def _d2_at(c: CubicBezier, p: Point2, u: float) -> float:
-    q = evaluate(c, u)
-    return (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-
-
-def _refine(c: CubicBezier, p: Point2, lo: float, hi: float, coarse: float) -> float:
-    """Golden-section minimum of squared distance over [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1 = _d2_at(c, p, x1)
-    f2 = _d2_at(c, p, x2)
-    best = min(coarse, f1, f2)
-    for _ in range(60):
-        if b - a < 1e-12:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = _d2_at(c, p, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = _d2_at(c, p, x2)
-        if f1 < best:
-            best = f1
-        if f2 < best:
-            best = f2
-    return best
+# Rounding pad on distances and on the sample gap, so that a sample skipped
+# by the triangle-inequality bound is strictly farther than the best one.
+_PAD_REL = 1.0 + 1e-9
+_PAD_ABS = 1e-12
+# A skipped sample is at most twice as far as the sample that skips it; below
+# this squared distance its own cannot overflow, which makes ** raise in a
+# full scan, so no sample is skipped from farther out.
+_SKIP_MAX_D2 = 1e300
 
 
 def curve_distances(pts: list[Point2], c: CubicBezier,
@@ -82,24 +61,93 @@ def curve_distances(pts: list[Point2], c: CubicBezier,
     """Distance of every point in pts to the curve, sharing one sample grid.
 
     The grid has max(256, 4 * len(pts)) uniform parameters unless an
-    explicit count is given; each point's nearest grid sample seeds a local
-    golden-section refinement.
+    explicit count is given. Each point takes the first grid sample with
+    the smallest squared distance and refines it by golden section over
+    the two neighbouring grid intervals.
+
+    The nearest sample is found exactly but without visiting every sample:
+    the bound starts from sample 0 and from the previous point's nearest
+    sample (points run along the curve), and a sample at distance d lets
+    the sweep skip the next floor((d - best) / gap) samples, gap being the
+    longest chord between neighbours; by the triangle inequality none of
+    them can be closer.
     """
     n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
     xs, ys = _curve_table(c, n)
+    # longest chord between neighbouring samples, padded for rounding
+    gap = max(map(math.hypot, [b - a for a, b in zip(xs, xs[1:])],
+                  [b - a for a, b in zip(ys, ys[1:])])) * _PAD_REL + _PAD_ABS
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    sqrt = math.sqrt
     out = []
-    for p in pts:
-        px, py = p.x, p.y
+    seed = 0
+    for px, py in pts:
+        # nearest sample; a NaN at sample 0 keeps index 0, as a full scan does
         best_i = 0
         best = (xs[0] - px) ** 2 + (ys[0] - py) ** 2
-        for i in range(1, n + 1):
+        d2 = (xs[seed] - px) ** 2 + (ys[seed] - py) ** 2
+        if d2 < best:
+            best_i, best = seed, d2
+        reach = sqrt(best) * _PAD_REL + _PAD_ABS
+        i = 1
+        while i <= n:
             d2 = (xs[i] - px) ** 2 + (ys[i] - py) ** 2
-            if d2 < best:
-                best = d2
-                best_i = i
-        lo = (best_i - 1) / n if best_i > 0 else 0.0
-        hi = (best_i + 1) / n if best_i < n else 1.0
-        out.append(math.sqrt(_refine(c, p, lo, hi, best)))
+            if d2 < best or d2 == best and i < best_i:
+                best_i, best = i, d2
+                reach = sqrt(d2) * _PAD_REL + _PAD_ABS
+                i += 1
+                continue
+            skip = (sqrt(d2) - reach) / gap
+            i += 1 + int(skip) if d2 < _SKIP_MAX_D2 and skip >= 1.0 else 1
+        seed = best_i
+
+        # golden section over the neighbouring intervals; the cubic is
+        # evaluated in blend/evaluate's operation order
+        a = (best_i - 1) / n if best_i > 0 else 0.0
+        b = (best_i + 1) / n if best_i < n else 1.0
+        u1 = b - _INV_GOLDEN * (b - a)
+        u2 = a + _INV_GOLDEN * (b - a)
+        ends = []
+        for u in (u1, u2):
+            v = 1.0 - u
+            vv = v * v
+            uu = u * u
+            b0 = v * vv
+            b1 = 3.0 * u * vv
+            b2 = 3.0 * uu * v
+            b3 = u * uu
+            f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
+                 + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
+            ends.append(f)
+            if f < best:
+                best = f
+        f1, f2 = ends
+        for _ in range(60):
+            if b - a < 1e-12:
+                break
+            left = f1 <= f2
+            if left:
+                b, u2, f2 = u2, u1, f1
+                u = u1 = b - _INV_GOLDEN * (b - a)
+            else:
+                a, u1, f1 = u1, u2, f2
+                u = u2 = a + _INV_GOLDEN * (b - a)
+            v = 1.0 - u
+            vv = v * v
+            uu = u * u
+            b0 = v * vv
+            b1 = 3.0 * u * vv
+            b2 = 3.0 * uu * v
+            b3 = u * uu
+            f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
+                 + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
+            if left:
+                f1 = f
+            else:
+                f2 = f
+            if f < best:
+                best = f
+        out.append(sqrt(best))
     return out
 
 

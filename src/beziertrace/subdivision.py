@@ -36,10 +36,6 @@ class Spline:
     segments: list[FittedSegment] = field(default_factory=list)
 
     @property
-    def curves(self) -> list[CubicBezier]:
-        return [s.curve for s in self.segments]
-
-    @property
     def breaks(self) -> list[int]:
         """Contour indices of all final break points (segment starts)."""
         return [s.span[0] for s in self.segments]

@@ -1,7 +1,9 @@
-"""Deliberately naive re-implementations of the corner rule and the tracer.
+"""Deliberately naive re-implementations of the corner rule, the tracer
+and the point-to-curve distance.
 
-Used purely as cross-check oracles for the production corner detector and
-boundary tracer: same definitions, typed independently, no shared code.
+Used purely as cross-check oracles for the production corner detector,
+boundary tracer and curve distances: same definitions, typed independently,
+no shared code.
 """
 
 from __future__ import annotations
@@ -149,3 +151,69 @@ def reference_trace(width, height, bits):
         keyed.append(((top, left, hole, seq), loop))
     keyed.sort(key=lambda item: item[0])
     return [loop for _, loop in keyed]
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _cubic_d2(c, p, u):
+    """Squared distance from p to the cubic c (four (x, y) pairs) at u,
+    with the Bernstein weights and sums in the production evaluation order."""
+    v = 1.0 - u
+    vv = v * v
+    uu = u * u
+    b0, b1, b2, b3 = v * vv, 3.0 * u * vv, 3.0 * uu * v, u * uu
+    qx = b0 * c[0][0] + b1 * c[1][0] + b2 * c[2][0] + b3 * c[3][0]
+    qy = b0 * c[0][1] + b1 * c[1][1] + b2 * c[2][1] + b3 * c[3][1]
+    return (qx - p[0]) ** 2 + (qy - p[1]) ** 2
+
+
+def reference_curve_distances(pts, c, samples=None):
+    """Distance of every (x, y) in pts to the cubic c by a full grid scan.
+
+    Every point scans all n + 1 uniform samples (n = max(256, 4 * len(pts))
+    unless given), keeps the first with the smallest squared distance, and
+    refines it by a 60-step golden section over the neighbouring intervals.
+    """
+    n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
+    xs = []
+    ys = []
+    for i in range(n + 1):
+        u = i / n
+        v = 1.0 - u
+        b0 = v * v * v
+        b1 = 3.0 * u * v * v
+        b2 = 3.0 * u * u * v
+        b3 = u * u * u
+        xs.append(b0 * c[0][0] + b1 * c[1][0] + b2 * c[2][0] + b3 * c[3][0])
+        ys.append(b0 * c[0][1] + b1 * c[1][1] + b2 * c[2][1] + b3 * c[3][1])
+    out = []
+    for p in pts:
+        best_i = 0
+        best = (xs[0] - p[0]) ** 2 + (ys[0] - p[1]) ** 2
+        for i in range(1, n + 1):
+            d2 = (xs[i] - p[0]) ** 2 + (ys[i] - p[1]) ** 2
+            if d2 < best:
+                best = d2
+                best_i = i
+        a = (best_i - 1) / n if best_i > 0 else 0.0
+        b = (best_i + 1) / n if best_i < n else 1.0
+        x1 = b - _INV_GOLDEN * (b - a)
+        x2 = a + _INV_GOLDEN * (b - a)
+        f1 = _cubic_d2(c, p, x1)
+        f2 = _cubic_d2(c, p, x2)
+        best = min(best, f1, f2)
+        for _ in range(60):
+            if b - a < 1e-12:
+                break
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INV_GOLDEN * (b - a)
+                f1 = _cubic_d2(c, p, x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INV_GOLDEN * (b - a)
+                f2 = _cubic_d2(c, p, x2)
+            best = min(best, f1, f2)
+        out.append(math.sqrt(best))
+    return out

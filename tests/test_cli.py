@@ -10,6 +10,7 @@ from beziertrace.cli import main
 from beziertrace.contour import ContourDocument, trace_boundaries, write_contour
 from beziertrace.bezier_core import Point2
 from beziertrace.contour import Contour
+from beziertrace.render_io import SplineDocument, write_spline
 
 from helpers import (circle_image, filled_rect_image, pbm_plain_bytes,
                      pbm_raw_bytes, rect_with_hole_image)
@@ -189,6 +190,19 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     write_contour(contours, ContourDocument(8, 8, [loop]))
     assert main(["fit", str(contours), "-o", str(tmp_path / "o")]) == 3
     assert "no loop" in capsys.readouterr().err
+
+
+def test_metrics_no_fitted_loop_is_numeric_error(tmp_path, capsys):
+    # like fit: no loop long enough for the support chord, and an empty
+    # spline document, is the same "no loop" failure, exit 3
+    img = filled_rect_image(8, 8, 3, 3, 4, 4)
+    contours = tmp_path / "tiny.json"
+    write_contour(contours, ContourDocument(8, 8, trace_boundaries(img)))
+    spline = tmp_path / "empty.json"
+    write_spline(spline, SplineDocument(8, 8, [], None,
+                                        {"support_length": 14}))
+    assert main(["metrics", str(contours), str(spline)]) == 3
+    assert "no loop could be fitted" in capsys.readouterr().err
 
 
 def test_debug_layers_flag(tmp_path, rect_pbm):

@@ -11,6 +11,7 @@ from beziertrace.metrics import (compression_ratio, curve_distances,
 from beziertrace.segment_fit import chord_fit
 from beziertrace.subdivision import FittedSegment, Spline, fit_outline
 
+from _reference import reference_curve_distances
 from helpers import chord_aligned_cubic, filled_rect_image, uniform_samples
 
 
@@ -72,6 +73,59 @@ def _two_cubic_spline():
         FittedSegment(lower, (n - 1, 0), ["corner"]),
     ])
     return contour, spline
+
+
+def _oracle_cases():
+    """(curve, points) pairs: random cubics, a self-crossing loop, a cusp,
+    four equal control points and a collinear cubic whose points sit
+    exactly halfway between two grid samples."""
+    rng = random.Random(21)
+    curves = [_random_curve(rng) for _ in range(6)]
+    curves += [
+        CubicBezier(Point2(0, 0), Point2(100, 100), Point2(0, 100), Point2(100, 0)),
+        CubicBezier(Point2(0, 0), Point2(60, 80), Point2(20, 80), Point2(40, 0)),
+        CubicBezier(Point2(5, 7), Point2(5, 7), Point2(5, 7), Point2(5, 7)),
+    ]
+    cases = []
+    for c in curves:
+        for m in (1, 8, 33):
+            pts = [evaluate(c, k / max(1, m - 1)) for k in range(m)]
+            pts = [Point2(round(p.x + rng.uniform(-4, 4)),
+                          round(p.y + rng.uniform(-4, 4))) for p in pts]
+            cases.append((c, pts))
+    # with 256 samples this cubic's grid is x = 6i exactly, so each point
+    # below is equally near samples i and i + 1; in reverse order the seed
+    # is sample i + 1, and on the line the skip bound lands on sample i
+    line = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
+                       Point2(1536, 0))
+    cases.append((line, [Point2(6 * i + 3, 0) for i in range(100, 160)]))
+    cases.append((line, [Point2(6 * i + 3, 2) for i in range(0, 255, 7)]))
+    # the offset of some samples squares past the float range, which makes
+    # the full scan raise OverflowError; no skip may step over them
+    e = 1e153
+    huge = CubicBezier(Point2(12 * e, -3 * e), Point2(9 * e, 13 * e),
+                       Point2(-2 * e, -14 * e), Point2(-7 * e, 15 * e))
+    cases.append((huge, [Point2(7, 6)]))
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def test_curve_distances_match_full_scan_oracle():
+    rng = random.Random(5)
+    for c, pts in _oracle_cases():
+        shuffled = list(pts)
+        rng.shuffle(shuffled)
+        for order in (pts, pts[::-1], shuffled):
+            for samples in (1, 2, 7, None):
+                got = _outcome(curve_distances, order, c, samples)
+                want = _outcome(reference_curve_distances, order, c, samples)
+                assert got == want, (c, samples)
 
 
 def test_spline_errors_exact_roundtrip():

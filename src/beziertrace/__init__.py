@@ -16,7 +16,8 @@ from .errors import (BezierTraceError, ConsistencyError, DegenerateChordError,
                      DegenerateSegmentError, DomainError, FormatError,
                      PreconditionError, SingularParameterError)
 from .metrics import (FitReport, compression_ratio, curve_distances,
-                      fit_report, point_deviation, spline_errors)
+                      fit_report, point_deviation, report_from_errors,
+                      spline_errors)
 from .render_io import SplineDocument, read_spline, to_svg, write_spline
 from .segment_fit import (CandidatePair, CandidateSpread, FitConfig,
                           SegmentSamples, build_spread, chord_fit, fit_segment,
@@ -38,7 +39,7 @@ __all__ = [
     "DegenerateSegmentError", "DomainError", "FormatError",
     "PreconditionError", "SingularParameterError",
     "FitReport", "compression_ratio", "curve_distances", "fit_report",
-    "point_deviation", "spline_errors",
+    "point_deviation", "report_from_errors", "spline_errors",
     "SplineDocument", "read_spline", "to_svg", "write_spline",
     "CandidatePair", "CandidateSpread", "FitConfig", "SegmentSamples",
     "build_spread", "chord_fit", "fit_segment", "parameterize",

@@ -7,19 +7,19 @@ Exit codes: 0 success, 1 usage error, 2 malformed input file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .contour import (ContourDocument, load_image, read_contour,
                       trace_boundaries, write_contour)
 from .corner_detect import CornerParams, detect_corners
 from .errors import BezierTraceError, ConsistencyError, DomainError, FormatError
-from .metrics import FitReport, fit_report
+from .metrics import FitReport, fit_report, report_from_errors, spline_errors
 from .render_io import (DEBUG_LAYERS, SplineDocument, read_spline, to_svg,
                         write_spline)
 from .segment_fit import FitConfig
@@ -105,8 +105,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated SVG debug layers: "
                         f"{','.join(DEBUG_LAYERS)} or 'all'")
     p.add_argument("--threads", type=_positive_int, default=None, metavar="N",
-                   help="worker threads for per-loop fitting "
-                        "(default: available parallelism)")
+                   help="worker processes over loops for fitting and "
+                        "measuring (default: the CPUs this process may "
+                        "run on)")
     p.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
                    help="timing repeats; the reported time is the median "
                         "(default: 1)")
@@ -216,9 +217,23 @@ def _parse_debug_layers(value: str):
     return layers
 
 
-def _fit_all(contours, params, cfg, threads):
-    """Fit every loop long enough to carry a support chord; returns the
-    (contour, spline) pairs in input order."""
+def _fit_loop(contour, params, cfg):
+    """Fit one loop and measure its errors; the unit of work of a worker."""
+    spline, _ = fit_outline(contour, params, cfg)
+    return spline, spline_errors(contour, spline)
+
+
+def _fit_all(contours, params, cfg, workers):
+    """Fit and measure every loop long enough to carry a support chord;
+    returns (contour, spline, errors) triples in input order.
+
+    Loops are independent, so with more than one worker they go to a pool
+    of forked processes.  A forked worker starts without re-importing the
+    package, which a spawned one would do at about 0.13 s each.  The
+    executor forks every worker before it starts its own thread, and this
+    program starts no other, so no lock is held across the fork.  Where the
+    platform cannot fork, the loops run in this process.
+    """
     fittable = []
     for i, contour in enumerate(contours):
         if contour.n <= 2 * params.support_length:
@@ -227,16 +242,27 @@ def _fit_all(contours, params, cfg, threads):
             continue
         fittable.append(contour)
 
-    def run(contour):
-        spline, _ = fit_outline(contour, params, cfg)
-        return spline
+    run = functools.partial(_fit_loop, params=params, cfg=cfg)
+    rows = map(run, fittable)
+    workers = min(workers, len(fittable))
+    if workers > 1:
+        # imported here, as they add 10-20 ms to every start-up and only
+        # a pool needs them
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                rows = list(pool.map(run, fittable))
+    return [(contour, spline, errors)
+            for contour, (spline, errors) in zip(fittable, rows)]
 
-    if threads > 1 and len(fittable) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            splines = list(pool.map(run, fittable))
-    else:
-        splines = [run(c) for c in fittable]
-    return list(zip(fittable, splines))
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _print_report(report: FitReport, as_json: bool) -> None:
@@ -270,17 +296,17 @@ def cmd_fit(args) -> int:
     params = _corner_params(args)
     cfg = _fit_config(args)
     layers = _parse_debug_layers(args.debug_layers)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    workers = args.threads if args.threads else _available_cpus()
     repeats = args.repeat
 
-    pairs = []
+    loops = []
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        pairs = _fit_all(doc.contours, params, cfg, threads)
-        if not pairs:
+        loops = _fit_all(doc.contours, params, cfg, workers)
+        if not loops:
             raise ConsistencyError("no loop could be fitted")
-        report = fit_report(pairs)
+        report = report_from_errors(loops)
         times.append(time.perf_counter() - t0)
     report.wall_time = statistics.median(times)
 
@@ -297,10 +323,10 @@ def cmd_fit(args) -> int:
         "variance": "population",
     }
     spline_doc = SplineDocument(doc.width, doc.height,
-                                [spline for _, spline in pairs],
+                                [spline for _, spline, _ in loops],
                                 report, config_echo)
     if args.format in ("svg", "both"):
-        svg = to_svg(spline_doc, layers, [c for c, _ in pairs])
+        svg = to_svg(spline_doc, layers, [c for c, _, _ in loops])
         with open(args.output + ".svg", "w", encoding="ascii") as fh:
             fh.write(svg)
     if args.format in ("json", "both"):

@@ -188,14 +188,18 @@ def spline_errors(contour, spline) -> tuple[float, float]:
     return max_dev, total / n
 
 
-def fit_report(loops: list[tuple], wall_time: float | None = None) -> FitReport:
-    """Aggregate report over (contour, spline) pairs of one image."""
+def report_from_errors(loops: list[tuple],
+                       wall_time: float | None = None) -> FitReport:
+    """Aggregate report over (contour, spline, errors) triples of one image.
+
+    errors is the loop's own spline_errors result; the triples are summed
+    in order, so the report is the same however the errors were measured.
+    """
     n_points = 0
     n_segments = 0
     max_dev = 0.0
     error_sum = 0.0
-    for contour, spline in loops:
-        mx, avg = spline_errors(contour, spline)
+    for contour, spline, (mx, avg) in loops:
         n_points += contour.n
         n_segments += len(spline.segments)
         error_sum += avg * contour.n
@@ -209,3 +213,9 @@ def fit_report(loops: list[tuple], wall_time: float | None = None) -> FitReport:
         compression_ratio=compression_ratio(n_points, n_segments),
         wall_time=wall_time,
     )
+
+
+def fit_report(loops: list[tuple], wall_time: float | None = None) -> FitReport:
+    """Aggregate report over (contour, spline) pairs of one image."""
+    return report_from_errors([(contour, spline, spline_errors(contour, spline))
+                               for contour, spline in loops], wall_time)

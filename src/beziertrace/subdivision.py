@@ -26,7 +26,6 @@ class FittedSegment:
     curve: CubicBezier
     span: tuple[int, int]
     flags: list[str]
-    spread: CandidateSpread | None = None
 
 
 @dataclass
@@ -46,17 +45,20 @@ def needs_subdivision(sp: CandidateSpread, cfg: FitConfig) -> bool:
     return max(sp.radius1, sp.radius2) > cfg.spread_threshold
 
 
-def split_point(pts, fitted: CubicBezier, cfg: FitConfig) -> int | None:
+def split_point(pts, fitted: CubicBezier, cfg: FitConfig,
+                dists: list[float] | None = None) -> int | None:
     """Index of the interior point farthest from the fitted curve.
 
     Ties go to the smaller index and the result is clamped so both halves
     keep at least min_segment_points points; None when the run is too short
-    to split at all.
+    to split at all.  dists, when given, is curve_distances(pts, fitted)
+    already computed by the caller.
     """
     msp = cfg.min_segment_points
     if len(pts) < 2 * msp:
         return None
-    dists = curve_distances(pts, fitted)
+    if dists is None:
+        dists = curve_distances(pts, fitted)
     best_i = 1
     best = dists[1]
     for i in range(2, len(pts) - 1):
@@ -82,12 +84,14 @@ def _fit_into(pts, offset, cfg, depth, out) -> None:
     curve, spread = fit_segment(pts, cfg)
     fallback = not spread.candidates
     wants_split = False
+    dists = None
     if not fallback:
         wants_split = needs_subdivision(spread, cfg)
         if not wants_split and cfg.max_error is not None:
-            wants_split = max(curve_distances(pts, curve)) > cfg.max_error
+            dists = curve_distances(pts, curve)
+            wants_split = max(dists) > cfg.max_error
     if wants_split and depth < MAX_SPLIT_DEPTH:
-        idx = split_point(pts, curve, cfg)
+        idx = split_point(pts, curve, cfg, dists)
         if idx is not None:
             _fit_into(pts[:idx + 1], offset, cfg, depth + 1, out)
             _fit_into(pts[idx:], offset + idx, cfg, depth + 1, out)
@@ -96,8 +100,7 @@ def _fit_into(pts, offset, cfg, depth, out) -> None:
              else (FLAG_SUBDIVIDED if depth > 0 else FLAG_CORNER)]
     if wants_split and depth >= MAX_SPLIT_DEPTH:
         flags.append(FLAG_DEPTH_CAPPED)
-    out.append(FittedSegment(curve, (offset, offset + len(pts) - 1),
-                             flags, spread))
+    out.append(FittedSegment(curve, (offset, offset + len(pts) - 1), flags))
 
 
 def assemble_spline(contour: Contour, corners: CornerSet,

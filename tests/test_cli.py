@@ -1,19 +1,23 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import beziertrace
+from beziertrace import cli
 from beziertrace.cli import main
 from beziertrace.contour import ContourDocument, trace_boundaries, write_contour
 from beziertrace.bezier_core import Point2
-from beziertrace.contour import Contour
+from beziertrace.contour import Contour, RasterImage
+from beziertrace.errors import ConsistencyError
 from beziertrace.render_io import SplineDocument, write_spline
 
 from helpers import (circle_image, filled_rect_image, pbm_plain_bytes,
-                     pbm_raw_bytes, rect_with_hole_image)
+                     pbm_raw_bytes, rasterize_polygon, rect_with_hole_image,
+                     star_polygon)
 
 
 @pytest.fixture()
@@ -28,6 +32,23 @@ def circle_pbm(tmp_path):
     p = tmp_path / "circle.pbm"
     p.write_bytes(pbm_raw_bytes(circle_image(50)))
     return p
+
+
+@pytest.fixture(scope="module")
+def stars_contours(tmp_path_factory):
+    """Traced page of six star_polygon stars in a 3x2 grid of 170 px cells."""
+    rng = random.Random(6)
+    width, height = 3 * 170, 2 * 170
+    bits = bytearray(width * height)
+    for k in range(6):
+        verts = star_polygon(rng, cx=85.0 + 170 * (k % 3),
+                             cy=85.0 + 170 * (k // 3))
+        star = rasterize_polygon(verts, width, height).bits
+        bits = bytearray(a | b for a, b in zip(bits, star))
+    contours = trace_boundaries(RasterImage(width, height, bits))
+    path = tmp_path_factory.mktemp("stars") / "stars.json"
+    write_contour(path, ContourDocument(width, height, contours))
+    return path
 
 
 def _trace(tmp_path, pbm, name="contours.json"):
@@ -160,6 +181,59 @@ def test_fit_deterministic_across_threads(tmp_path, capsys):
         outs.append(((base.parent / (name + ".svg")).read_bytes(),
                      (base.parent / (name + ".json")).read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_fit_identical_across_worker_counts(stars_contours, tmp_path, capsys):
+    outs = []
+    for workers in ("1", "2", "3", "8"):
+        base = tmp_path / f"w{workers}"
+        assert main(["fit", str(stars_contours), "-o", str(base),
+                     "--threads", workers, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time"]  # measured, so it differs every run
+        outs.append(((tmp_path / f"w{workers}.svg").read_bytes(),
+                     (tmp_path / f"w{workers}.json").read_bytes(), report))
+    assert all(out == outs[0] for out in outs[1:])
+
+
+def test_worker_error_exit_code(stars_contours, tmp_path, monkeypatch,
+                                capsys):
+    # forked workers inherit the patched binding
+    def failing(contour, params, cfg):
+        raise ConsistencyError(f"failed in process {os.getpid()}")
+
+    monkeypatch.setattr(cli, "fit_outline", failing)
+    errors = []
+    for workers in ("1", "2"):
+        assert main(["fit", str(stars_contours), "-o", str(tmp_path / "e"),
+                     "--threads", workers]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == f"error: failed in process {os.getpid()}\n"
+    # the second error was raised in a worker process, not in this one
+    assert errors[1].startswith("error: failed in process ")
+    assert errors[1] != errors[0]
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    # the pool modules are imported when a pool starts, not at start-up
+    src = os.path.dirname(os.path.dirname(beziertrace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, beziertrace.cli; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
+
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert cli._available_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._available_cpus() == 8
 
 
 def test_exit_code_usage_error():

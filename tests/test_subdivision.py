@@ -121,6 +121,32 @@ def test_max_error_trigger():
     assert len(tight) > 1
 
 
+def test_max_error_split_measures_each_piece_once(monkeypatch):
+    # every piece fitted from candidates gets one distance pass, which the
+    # max-error test and the split point share
+    curve = chord_aligned_cubic(Point2(0, 0), Point2(120, 0), 9.0, 9.0)
+    pts = [Point2(p.x, round(p.y * 2) / 2) for p in uniform_samples(curve, 80)]
+    fit_segment = subdivision.fit_segment
+    curve_distances = subdivision.curve_distances
+    fitted = []    # per fit_segment call: whether it had candidates
+    measured = []  # per curve_distances call: the run length
+
+    def counting_fit(run, cfg):
+        curve, spread = fit_segment(run, cfg)
+        fitted.append(bool(spread.candidates))
+        return curve, spread
+
+    def counting_distances(run, curve):
+        measured.append(len(run))
+        return curve_distances(run, curve)
+
+    monkeypatch.setattr(subdivision, "fit_segment", counting_fit)
+    monkeypatch.setattr(subdivision, "curve_distances", counting_distances)
+    pieces = fit_recursive(pts, FitConfig(max_error=0.05))
+    assert len(pieces) > 1
+    assert len(measured) == sum(fitted)
+
+
 def _rect_contour():
     img = filled_rect_image(48, 38, 4, 4, 43, 33)
     return trace_boundaries(img)[0]

@@ -54,35 +54,29 @@ _PAD_ABS = 1e-12
 # this squared distance its own cannot overflow, which makes ** raise in a
 # full scan, so no sample is skipped from farther out.
 _SKIP_MAX_D2 = 1e300
+# Below this size in every coordinate, a point and a curve point differ by
+# less than 2e153 per axis, whose square cannot overflow.
+_SQUARE_SAFE = 1e153
 
 
-def curve_distances(pts: list[Point2], c: CubicBezier,
-                    samples: int | None = None) -> list[float]:
-    """Distance of every point in pts to the curve, sharing one sample grid.
-
-    The grid has max(256, 4 * len(pts)) uniform parameters unless an
-    explicit count is given. Each point takes the first grid sample with
-    the smallest squared distance and refines it by golden section over
-    the two neighbouring grid intervals.
+def _nearest_samples(pts, xs: list[float], ys: list[float]):
+    """(index, squared distance) of each point's nearest grid sample.
 
     The nearest sample is found exactly but without visiting every sample:
     the bound starts from sample 0 and from the previous point's nearest
     sample (points run along the curve), and a sample at distance d lets
     the sweep skip the next floor((d - best) / gap) samples, gap being the
     longest chord between neighbours; by the triangle inequality none of
-    them can be closer.
+    them can be closer.  Ties go to the first sample.
     """
-    n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
-    xs, ys = _curve_table(c, n)
+    n = len(xs) - 1
     # longest chord between neighbouring samples, padded for rounding
     gap = max(map(math.hypot, [b - a for a, b in zip(xs, xs[1:])],
                   [b - a for a, b in zip(ys, ys[1:])])) * _PAD_REL + _PAD_ABS
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     sqrt = math.sqrt
-    out = []
     seed = 0
     for px, py in pts:
-        # nearest sample; a NaN at sample 0 keeps index 0, as a full scan does
+        # a NaN at sample 0 keeps index 0, as a full scan does
         best_i = 0
         best = (xs[0] - px) ** 2 + (ys[0] - py) ** 2
         d2 = (xs[seed] - px) ** 2 + (ys[seed] - py) ** 2
@@ -100,55 +94,127 @@ def curve_distances(pts: list[Point2], c: CubicBezier,
             skip = (sqrt(d2) - reach) / gap
             i += 1 + int(skip) if d2 < _SKIP_MAX_D2 and skip >= 1.0 else 1
         seed = best_i
+        yield best_i, best
 
-        # golden section over the neighbouring intervals; the cubic is
-        # evaluated in blend/evaluate's operation order
-        a = (best_i - 1) / n if best_i > 0 else 0.0
-        b = (best_i + 1) / n if best_i < n else 1.0
-        u1 = b - _INV_GOLDEN * (b - a)
-        u2 = a + _INV_GOLDEN * (b - a)
-        ends = []
-        for u in (u1, u2):
-            v = 1.0 - u
-            vv = v * v
-            uu = u * u
-            b0 = v * vv
-            b1 = 3.0 * u * vv
-            b2 = 3.0 * uu * v
-            b3 = u * uu
-            f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
-                 + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
-            ends.append(f)
-            if f < best:
-                best = f
-        f1, f2 = ends
-        for _ in range(60):
-            if b - a < 1e-12:
-                break
-            left = f1 <= f2
-            if left:
-                b, u2, f2 = u2, u1, f1
-                u = u1 = b - _INV_GOLDEN * (b - a)
-            else:
-                a, u1, f1 = u1, u2, f2
-                u = u2 = a + _INV_GOLDEN * (b - a)
-            v = 1.0 - u
-            vv = v * v
-            uu = u * u
-            b0 = v * vv
-            b1 = 3.0 * u * vv
-            b2 = 3.0 * uu * v
-            b3 = u * uu
-            f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
-                 + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
-            if left:
-                f1 = f
-            else:
-                f2 = f
-            if f < best:
-                best = f
-        out.append(sqrt(best))
-    return out
+
+def _refine(c: CubicBezier, n: int, px: float, py: float,
+            best_i: int, best: float) -> float:
+    """Golden section over the grid intervals either side of sample best_i.
+
+    best is that sample's squared distance; the result is the smallest
+    squared distance seen, so it is never above best.  The cubic is
+    evaluated in blend/evaluate's operation order.
+    """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    a = (best_i - 1) / n if best_i > 0 else 0.0
+    b = (best_i + 1) / n if best_i < n else 1.0
+    u1 = b - _INV_GOLDEN * (b - a)
+    u2 = a + _INV_GOLDEN * (b - a)
+    ends = []
+    for u in (u1, u2):
+        v = 1.0 - u
+        vv = v * v
+        uu = u * u
+        b0 = v * vv
+        b1 = 3.0 * u * vv
+        b2 = 3.0 * uu * v
+        b3 = u * uu
+        f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
+             + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
+        ends.append(f)
+        if f < best:
+            best = f
+    f1, f2 = ends
+    for _ in range(60):
+        if b - a < 1e-12:
+            break
+        left = f1 <= f2
+        if left:
+            b, u2, f2 = u2, u1, f1
+            u = u1 = b - _INV_GOLDEN * (b - a)
+        else:
+            a, u1, f1 = u1, u2, f2
+            u = u2 = a + _INV_GOLDEN * (b - a)
+        v = 1.0 - u
+        vv = v * v
+        uu = u * u
+        b0 = v * vv
+        b1 = 3.0 * u * vv
+        b2 = 3.0 * uu * v
+        b3 = u * uu
+        f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
+             + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
+        if left:
+            f1 = f
+        else:
+            f2 = f
+        if f < best:
+            best = f
+    return best
+
+
+def curve_distances(pts: list[Point2], c: CubicBezier,
+                    samples: int | None = None) -> list[float]:
+    """Distance of every point in pts to the curve, sharing one sample grid.
+
+    The grid has max(256, 4 * len(pts)) uniform parameters unless an
+    explicit count is given. Each point takes the first grid sample with
+    the smallest squared distance (_nearest_samples) and refines it by
+    golden section over the two neighbouring grid intervals (_refine).
+    farthest finds the largest of these distances without refining them all.
+    """
+    n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
+    xs, ys = _curve_table(c, n)
+    sqrt = math.sqrt
+    return [sqrt(_refine(c, n, px, py, i, d2))
+            for (px, py), (i, d2) in zip(pts, _nearest_samples(pts, xs, ys))]
+
+
+def _squares_fit(pts, c: CubicBezier) -> bool:
+    """True when every coordinate is finite and below _SQUARE_SAFE in size,
+    so that no squared offset between a point and the curve can overflow."""
+    lim = _SQUARE_SAFE
+    return (all(-lim < v < lim for p in c for v in p)
+            and all(-lim < v < lim for p in pts for v in p))
+
+
+def farthest(pts: list[Point2], c: CubicBezier, lo: int,
+             hi: int) -> tuple[int, float]:
+    """First index of the largest distance in pts[lo:hi], and that distance.
+
+    Bit for bit the max(range(lo, hi), key=...) of curve_distances(pts, c)
+    and that value (ties to the first index; a NaN at lo wins, later NaNs
+    lose), and it raises where that call raises; needs lo < hi.
+
+    Every point gets its nearest-sample distance g, but few are refined.
+    Refining never raises a distance above g, so once the point with the
+    largest g is refined to d, a point with g < d can neither pass d nor
+    tie with it, and only points with g >= d are refined.  When every g
+    ties near the top, that is every point, as in the full pass.
+    """
+    n = max(256, 4 * len(pts))
+    xs, ys = _curve_table(c, n)
+    near = list(_nearest_samples(pts, xs, ys))
+    dists = {}
+
+    def dist(j: int) -> float:
+        if j not in dists:
+            px, py = pts[j]
+            dists[j] = math.sqrt(_refine(c, n, px, py, *near[j]))
+        return dists[j]
+
+    if _squares_fit(pts, c):
+        g = [math.sqrt(d2) for _, d2 in near]
+        dk = dist(max(range(lo, hi), key=g.__getitem__))
+        picks = [j for j in range(lo, hi) if g[j] >= dk]
+    else:
+        # a square may overflow: refine every point, so that OverflowError
+        # is raised exactly where the full pass raises it
+        for j in range(len(pts)):
+            dist(j)
+        picks = range(lo, hi)
+    best_i = max(picks, key=dist)
+    return best_i, dists[best_i]
 
 
 def point_deviation(p: Point2, c: CubicBezier, samples: int = 256) -> float:
@@ -161,7 +227,8 @@ def spline_errors(contour, spline) -> tuple[float, float]:
 
     Each segment owns the contour points from its span start up to but not
     including the span end (the shared break point belongs to the next
-    segment), so every point is measured exactly once.
+    segment), so every point is measured exactly once.  A span index
+    outside [0, n) is a ConsistencyError.
     """
     n = contour.n
     owner_count = 0
@@ -170,6 +237,9 @@ def spline_errors(contour, spline) -> tuple[float, float]:
     total = 0.0
     for seg in spline.segments:
         a, b = seg.span
+        if not (0 <= a < n and 0 <= b < n):
+            raise ConsistencyError(
+                f"segment span {seg.span} outside a loop of {n} points")
         m = (b - a) % n + 1
         indices = [(a + k) % n for k in range(m - 1)]
         for idx in indices:

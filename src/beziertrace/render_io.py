@@ -221,9 +221,10 @@ def read_spline(path: str) -> SplineDocument:
                 pts.append(Point2(number(pair[0], f"{sw}.controls[{pi}].x"),
                                   number(pair[1], f"{sw}.controls[{pi}].y")))
             span = seg.get("span")
-            if (not isinstance(span, list) or len(span) != 2
-                    or not all(isinstance(v, int) for v in span)):
+            if not isinstance(span, list) or len(span) != 2:
                 raise fail(f"{sw}.span", "expected an [start, end] index pair")
+            span = [integer(v, f"{sw}.span[{k}]", 0)
+                    for k, v in enumerate(span)]
             flags = seg.get("flags")
             if (not isinstance(flags, list)
                     or not all(isinstance(f, str) for f in flags)):

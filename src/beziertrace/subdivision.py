@@ -8,7 +8,7 @@ from .bezier_core import CubicBezier
 from .contour import Contour
 from .corner_detect import (CornerParams, CornerSet, detect_corners,
                             range_points, segment_boundaries)
-from .metrics import curve_distances
+from .metrics import curve_distances, farthest
 from .segment_fit import CandidateSpread, FitConfig, fit_segment
 
 MAX_SPLIT_DEPTH = 16
@@ -52,19 +52,16 @@ def split_point(pts, fitted: CubicBezier, cfg: FitConfig,
     Ties go to the smaller index and the result is clamped so both halves
     keep at least min_segment_points points; None when the run is too short
     to split at all.  dists, when given, is curve_distances(pts, fitted)
-    already computed by the caller.
+    already computed by the caller; otherwise farthest finds the point,
+    refining only the few distances that can be the largest.
     """
     msp = cfg.min_segment_points
     if len(pts) < 2 * msp:
         return None
     if dists is None:
-        dists = curve_distances(pts, fitted)
-    best_i = 1
-    best = dists[1]
-    for i in range(2, len(pts) - 1):
-        if dists[i] > best:
-            best = dists[i]
-            best_i = i
+        best_i = farthest(pts, fitted, 1, len(pts) - 1)[0]
+    else:
+        best_i = max(range(1, len(pts) - 1), key=dists.__getitem__)
     return min(max(best_i, msp - 1), len(pts) - msp)
 
 

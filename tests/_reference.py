@@ -217,3 +217,21 @@ def reference_curve_distances(pts, c, samples=None):
             best = min(best, f1, f2)
         out.append(math.sqrt(best))
     return out
+
+
+def reference_split_point(pts, c, min_segment_points):
+    """Split index of a run by a full distance pass: the first interior
+    point with the largest distance (a NaN first distance is kept, later
+    NaNs are passed over), clamped so both halves keep min_segment_points
+    points; None when the run is shorter than twice that."""
+    if len(pts) < 2 * min_segment_points:
+        return None
+    dists = reference_curve_distances(pts, c)
+    best_i = 1
+    best = dists[1]
+    for i in range(2, len(pts) - 1):
+        if dists[i] > best:
+            best = dists[i]
+            best_i = i
+    return min(max(best_i, min_segment_points - 1),
+               len(pts) - min_segment_points)

@@ -256,6 +256,42 @@ def test_metrics_malformed_spline_is_format_error(tmp_path, rect_pbm, capsys):
     assert "contours" in capsys.readouterr().err
 
 
+def _fitted_with_first_span(tmp_path, rect_pbm, shift_span):
+    """Contour and spline paths of the fitted rectangle, the spline's first
+    span replaced by shift_span(span, n)."""
+    contours = _trace(tmp_path, rect_pbm)
+    base = tmp_path / "out"
+    assert main(["fit", str(contours), "-o", str(base), "--format", "json"]) == 0
+    n = len(json.loads(contours.read_text())["contours"][0]["points"])
+    spline = tmp_path / "out.json"
+    doc = json.loads(spline.read_text())
+    seg = doc["contours"][0]["segments"][0]
+    seg["span"] = shift_span(seg["span"], n)
+    spline.write_text(json.dumps(doc))
+    return contours, spline
+
+
+@pytest.mark.parametrize("shift_span", [
+    lambda span, n: [False, True],
+    lambda span, n: [span[0] - n, span[1]],
+], ids=["bool", "negative"])
+def test_metrics_span_not_an_index_is_format_error(tmp_path, rect_pbm, capsys,
+                                                   shift_span):
+    contours, spline = _fitted_with_first_span(tmp_path, rect_pbm, shift_span)
+    capsys.readouterr()
+    assert main(["metrics", str(contours), str(spline)]) == 2
+    assert "span" in capsys.readouterr().err
+
+
+def test_metrics_span_past_loop_is_numeric_error(tmp_path, rect_pbm, capsys):
+    # the same point modulo n, but no point of the loop has this index
+    contours, spline = _fitted_with_first_span(
+        tmp_path, rect_pbm, lambda span, n: [span[0] + 10 * n, span[1]])
+    capsys.readouterr()
+    assert main(["metrics", str(contours), str(spline)]) == 3
+    assert "outside a loop" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # a single valid loop too short to carry the default support chord
     img = filled_rect_image(8, 8, 3, 3, 4, 4)

@@ -6,7 +6,7 @@ import pytest
 from beziertrace.bezier_core import CubicBezier, Point2, evaluate
 from beziertrace.contour import Contour, trace_boundaries
 from beziertrace.errors import ConsistencyError, DomainError
-from beziertrace.metrics import (compression_ratio, curve_distances,
+from beziertrace.metrics import (compression_ratio, curve_distances, farthest,
                                  fit_report, point_deviation, spline_errors)
 from beziertrace.segment_fit import chord_fit
 from beziertrace.subdivision import FittedSegment, Spline, fit_outline
@@ -126,6 +126,24 @@ def test_curve_distances_match_full_scan_oracle():
                 got = _outcome(curve_distances, order, c, samples)
                 want = _outcome(reference_curve_distances, order, c, samples)
                 assert got == want, (c, samples)
+
+
+def _full_pass_farthest(pts, c, lo, hi):
+    dists = curve_distances(pts, c)
+    i = max(range(lo, hi), key=dists.__getitem__)
+    return i, dists[i]
+
+
+def test_farthest_matches_full_pass():
+    for c, pts in _oracle_cases():
+        m = len(pts)
+        for order in (pts, pts[::-1]):
+            for lo, hi in {(0, m), (m // 3, max(m // 3 + 1, m - m // 3)),
+                           (m - 1, m)}:
+                want = _outcome(_full_pass_farthest, order, c, lo, hi)
+                # compared by repr, so that NaN distances count as equal
+                assert repr(_outcome(farthest, order, c, lo, hi)) \
+                    == repr(want), (c, lo, hi)
 
 
 def test_spline_errors_exact_roundtrip():

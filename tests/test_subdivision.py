@@ -1,5 +1,9 @@
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import beziertrace.metrics as metrics
 import beziertrace.subdivision as subdivision
 from beziertrace.bezier_core import CubicBezier, Point2
 from beziertrace.contour import trace_boundaries
@@ -13,8 +17,10 @@ from beziertrace.subdivision import (FLAG_CORNER, FLAG_DEPTH_CAPPED,
                                      fit_recursive, needs_subdivision,
                                      split_point)
 
+from _reference import reference_split_point
 from helpers import (chord_aligned_cubic, circle_image, filled_rect_image,
                      uniform_samples)
+from test_metrics import _oracle_cases, _outcome
 
 
 def _spread_with_radius(r):
@@ -56,6 +62,120 @@ def test_split_point_collinear_picks_first_admissible():
     pts = [Point2(float(i), 0.0) for i in range(20)]
     idx = split_point(pts, chord_fit(pts[0], pts[-1]), FitConfig())
     assert idx == FitConfig().min_segment_points - 1
+
+
+def _split_oracle_cases():
+    nan, inf = float("nan"), float("inf")
+    cases = list(_oracle_cases())
+    # all-tie runs: on the curve's own line, and all at one offset from it
+    line = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
+                       Point2(1536, 0))
+    cases.append((line, [Point2(6 * i, 0) for i in range(40)]))
+    cases.append((line, [Point2(6 * i, 2) for i in range(40)]))
+    flat = chord_fit(Point2(-5, 0), Point2(45, 0))
+    cases.append((flat, [Point2(i, 3) for i in range(40)]))
+    # the largest distance, exactly 5 on grid samples, tied by several points
+    tied = [Point2(6 * i, 5 if i % 7 == 3 else i % 2) for i in range(40)]
+    cases.append((line, tied))
+    cases.append((line, tied[::-1]))
+    # a tie between point 2, on a grid sample, and point 5, halfway between
+    # two: point 5 has the larger nearest-sample distance, so a cut that
+    # drops g == d, or compares squares (y * y here is below the square of
+    # its own square root), loses point 2
+    y = 7.712471735585844
+    cases.append((line, [Point2(6 * i + 3 * (i == 5),
+                                y if i in (2, 5) else i % 2)
+                         for i in range(12)]))
+    # below one pixel a squared distance is smaller than the distance: point
+    # 12, on a grid sample at 0.5, beats point 20, halfway between two
+    # samples, whose refined 0.48 is below its nearest-sample 0.515
+    short = CubicBezier(Point2(0, 0), Point2(32, 0), Point2(64, 0),
+                        Point2(96, 0))
+    cases.append((short, [Point2(0.375 * i + 0.1875 * (i == 20),
+                                 {12: 0.5, 20: 0.48}.get(i, 0.0))
+                          for i in range(30)]))
+    # non-finite points and control points
+    arch = _arch_points(30)
+    chord = chord_fit(arch[0], arch[-1])
+    for k, bad in ((1, nan), (5, nan), (14, inf), (14, -inf), (29, nan)):
+        pts = list(arch)
+        pts[k] = Point2(bad, pts[k].y)
+        cases.append((chord, pts))
+    for bad in (nan, inf):
+        cases.append((CubicBezier(arch[0], Point2(bad, 3.0), arch[20],
+                                  arch[-1]), arch))
+        cases.append((CubicBezier(arch[0], arch[10], arch[20],
+                                  Point2(40.0, bad)), arch))
+    # squares of the offsets pass the float range in the nearest-sample
+    # search; a point 1e153 away overflows nothing, but its size alone makes
+    # every point be refined
+    e = 1e153
+    huge = CubicBezier(Point2(12 * e, -3 * e), Point2(9 * e, 13 * e),
+                       Point2(-2 * e, -14 * e), Point2(-7 * e, 15 * e))
+    cases.append((huge, [Point2(7 + i, 6) for i in range(20)]))
+    cases.append((line, arch[:9] + [Point2(e, 0)] + arch[10:]))
+    return cases
+
+
+def _refine_overflow_case():
+    """A run whose nearest-sample search stays finite but whose point 3
+    overflows in the refine: the curve's top edge sits just under the float
+    square root, and the golden section's first probe, between the point's
+    nearest sample and the bulge, passes it.  The other points are at an
+    infinite squared distance, so a bound on distances alone skips point 3."""
+    top, a, h = 1.3407801838936079e154, 1e152, 1e148
+    c = CubicBezier(Point2(-a, top), Point2(-a / 3, top + h),
+                    Point2(a / 3, top + 0.6 * h), Point2(a, top))
+    pts = [Point2(5e153 - 1e152 * k, 0.0) for k in range(10)]
+    pts[3] = Point2(-1.1718749999999999e151, 0.0)  # x of grid sample 113
+    return c, pts
+
+
+def test_split_point_matches_full_pass_oracle():
+    c, pts = _refine_overflow_case()
+    assert _outcome(reference_split_point, pts, c, 4) is OverflowError
+    for c, pts in _split_oracle_cases() + [_refine_overflow_case()]:
+        for msp in (4, 8):
+            cfg = FitConfig(min_segment_points=msp)
+            for order in (pts, pts[::-1]):
+                assert (_outcome(split_point, order, c, cfg)
+                        == _outcome(reference_split_point, order, c, msp)), \
+                    (c, msp)
+
+
+def test_split_point_refines_only_possible_maxima(monkeypatch):
+    refine = metrics._refine
+    calls = []
+
+    def counting_refine(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(metrics, "_refine", counting_refine)
+    pts = _arch_points(200)
+    split_point(pts, chord_fit(pts[0], pts[-1]), FitConfig())
+    assert len(calls) < 20
+    # every distance tied: each interior point is refined once, and no more
+    del calls[:]
+    flat = [Point2(float(i), 3.0) for i in range(60)]
+    assert split_point(flat, chord_fit(Point2(-5, 0), Point2(65, 0)),
+                       FitConfig()) == FitConfig().min_segment_points - 1
+    assert len(calls) == len(flat) - 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(controls=st.lists(st.floats(-300, 300), min_size=8, max_size=8),
+       m=st.integers(16, 300), noise=st.integers(0, 12),
+       msp=st.integers(4, 8), rnd=st.randoms(use_true_random=False))
+def test_split_point_matches_oracle_on_random_runs(controls, m, noise, msp,
+                                                   rnd):
+    c = CubicBezier(*[Point2(controls[k], controls[k + 1])
+                      for k in range(0, 8, 2)])
+    pts = [Point2(round(p.x + rnd.randint(-noise, noise)),
+                  round(p.y + rnd.randint(-noise, noise)))
+           for p in uniform_samples(c, m)]
+    assert split_point(pts, c, FitConfig(min_segment_points=msp)) \
+        == reference_split_point(pts, c, msp)
 
 
 def test_fit_recursive_exact_cubic_single_segment():

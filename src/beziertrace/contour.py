@@ -123,7 +123,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected {what}", offset=start)
-        return int(data[start:self.pos])
+        try:
+            return int(data[start:self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            raise self.error(f"{what} has too many digits",
+                             offset=start) from None
 
 
 def load_image(path: str, format: str = "auto") -> RasterImage:
@@ -151,9 +155,14 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
         raise sc.error(f"bad dimensions {width}x{height}")
 
     if kind == "plain":
-        bits = bytearray(width * height)
-        count = 0
         total = width * height
+        # each pixel takes a byte at least, so a file too short for its
+        # dimensions is rejected before the raster is allocated
+        if len(data) - sc.pos < total:
+            raise sc.error(f"truncated raster: {len(data) - sc.pos} bytes "
+                           f"for {width}x{height} pixels", offset=len(data))
+        bits = bytearray(total)
+        count = 0
         while count < total:
             sc.skip_separators()
             if sc.pos >= len(data):
@@ -177,8 +186,8 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
         need = stride * height
         if len(data) - sc.pos < need:
             raise sc.error(
-                f"truncated raster: need {need} bytes, have {len(data) - sc.pos}",
-                offset=len(data))
+                f"truncated raster: {len(data) - sc.pos} bytes for "
+                f"{width}x{height} pixels", offset=len(data))
         if len(data) - sc.pos > need:
             raise sc.error("trailing data after raster", offset=sc.pos + need)
         unpack = _UNPACK.__getitem__
@@ -328,6 +337,10 @@ def write_contour(path: str, doc: ContourDocument) -> None:
         fh.write(text + "\n")
 
 
+# Coordinates are read into floats, which hold every integer up to 2**53.
+_EXACT_INT = 2 ** 53
+
+
 def read_contour(path: str) -> ContourDocument:
     """Read and validate a contour document written by ``write_contour``."""
     try:
@@ -335,7 +348,9 @@ def read_contour(path: str) -> ContourDocument:
             payload = json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read contours: {exc}", path=str(path)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad ASCII and over-long integers;
+        # RecursionError, nesting too deep for the parser
         raise FormatError(f"not valid JSON: {exc}", path=str(path)) from exc
 
     def fail(field_name: str, message: str) -> FormatError:
@@ -368,9 +383,11 @@ def read_contour(path: str) -> ContourDocument:
         for pi, pair in enumerate(pts_raw):
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(isinstance(v, int) and not isinstance(v, bool)
+                               and -_EXACT_INT <= v <= _EXACT_INT
                                for v in pair)):
                 raise fail(f"{where}.points[{pi}]",
-                           f"expected an [x, y] integer pair, got {pair!r}")
+                           "expected an [x, y] pair of integers within "
+                           f"+-2**53, got {pair!r}")
             pixels.append((pair[0], pair[1]))
         problem = _loop_violation(pixels)
         if problem is not None:

@@ -165,7 +165,9 @@ def read_spline(path: str) -> SplineDocument:
     except OSError as exc:
         raise FormatError(f"cannot read spline document: {exc}",
                           path=str(path)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad ASCII, over-long integers and the
+        # non-finite constants; RecursionError, nesting too deep to parse
         raise FormatError(f"not valid JSON: {exc}", path=str(path)) from exc
 
     def fail(field_name: str, message: str) -> FormatError:
@@ -195,7 +197,10 @@ def read_spline(path: str) -> SplineDocument:
     def number(value, where) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise fail(where, f"expected a number, got {value!r}")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:  # an integer past the float range
+            v = math.inf
         if not math.isfinite(v):
             raise fail(where, "non-finite coordinate")
         return v

@@ -268,6 +268,18 @@ def test_contour_rejects_float_coords(tmp_path):
         read_contour(path)
 
 
+@pytest.mark.parametrize("x", [2 ** 53, 2 ** 60, 10 ** 400])
+def test_contour_rejects_coords_floats_cannot_hold(tmp_path, x):
+    # past 2**53 neighbouring pixels read into the same float; past 1e308
+    # into none
+    path = tmp_path / "bad.json"
+    path.write_text('{"width":8,"height":8,"contours":[{"closed":true,'
+                    f'"points":[[{x},0],[{x + 1},0],[{x + 1},1],[{x},1]]}}]}}')
+    with pytest.raises(FormatError) as err:
+        read_contour(path)
+    assert "2**53" in str(err.value)
+
+
 def test_contour_rejects_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"width":8,"contours":[]}')

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import beziertrace.metrics as metrics
 from beziertrace.bezier_core import CubicBezier, Point2, evaluate
 from beziertrace.contour import Contour, trace_boundaries
 from beziertrace.errors import ConsistencyError, DomainError
@@ -144,6 +147,137 @@ def test_farthest_matches_full_pass():
                 # compared by repr, so that NaN distances count as equal
                 assert repr(_outcome(farthest, order, c, lo, hi)) \
                     == repr(want), (c, lo, hi)
+
+
+def _non_finite_cases():
+    """(curve, points) pairs with NaN or infinite points or control points."""
+    nan, inf = float("nan"), float("inf")
+    c = CubicBezier(Point2(0, 0), Point2(10, 30), Point2(30, 30), Point2(40, 0))
+    arch = [Point2(round(p.x), round(p.y) + 1) for p in uniform_samples(c, 30)]
+    cases = []
+    for k, bad in ((0, nan), (5, nan), (14, inf), (14, -inf), (29, nan)):
+        pts = list(arch)
+        pts[k] = Point2(bad, pts[k].y)
+        cases.append((c, pts))
+    for bad in (nan, inf, -inf):
+        cases.append((CubicBezier(c.p0, Point2(bad, 30), c.p2, c.p3), arch))
+        cases.append((CubicBezier(c.p0, c.p1, c.p2, Point2(40, bad)), arch))
+    return cases
+
+
+def _refine_overflow_case():
+    """A run whose nearest-sample search stays finite but whose point 3
+    overflows in the refine: the curve's top edge sits just under the float
+    square root, and the golden section's first probe, between the point's
+    nearest sample and the bulge, passes it.  The other points are at an
+    infinite squared distance, so a bound on distances alone skips point 3."""
+    top, a, h = 1.3407801838936079e154, 1e152, 1e148
+    c = CubicBezier(Point2(-a, top), Point2(-a / 3, top + h),
+                    Point2(a / 3, top + 0.6 * h), Point2(a, top))
+    pts = [Point2(5e153 - 1e152 * k, 0.0) for k in range(10)]
+    pts[3] = Point2(-1.1718749999999999e151, 0.0)  # x of grid sample 113
+    return c, pts
+
+
+def _measured(monkeypatch, c, pts):
+    """Each distance spline_errors measures from pts to c, or OverflowError.
+
+    pts is the first segment of a loop closed by a second segment over one
+    repeated point; the Newton refine is wrapped to record each result."""
+    seen = []
+    newton = metrics._newton_refine
+
+    def record(*args):
+        d2 = newton(*args)
+        seen.append(math.sqrt(d2))
+        return d2
+
+    monkeypatch.setattr(metrics, "_newton_refine", record)
+    m = len(pts)
+    spline = Spline([FittedSegment(c, (0, m), []),
+                     FittedSegment(c, (m, 0), [])])
+    try:
+        spline_errors(Contour(list(pts) + [pts[-1]]), spline)
+    except OverflowError:
+        return OverflowError
+    assert len(seen) == m + 1
+    return seen[:m]
+
+
+def _near(got, want, tol=1e-9):
+    """Same outcome: both OverflowError, or distances within tol with NaN
+    matching NaN and infinity matching itself."""
+    if got is OverflowError or want is OverflowError:
+        return got is want
+    return len(got) == len(want) and all(
+        g == w or abs(g - w) <= tol or math.isnan(g) and math.isnan(w)
+        for g, w in zip(got, want))
+
+
+def test_spline_errors_distances_match_full_scan_oracle(monkeypatch):
+    # includes the cusp, the self-crossing loop, four equal control points,
+    # the collinear half-sample cubic, non-finite inputs and the 1e153 curve
+    for c, pts in _oracle_cases() + _non_finite_cases():
+        for order in (pts, pts[::-1]):
+            samples = max(256, 4 * (len(order) + 1))
+            want = _outcome(reference_curve_distances, order, c, samples)
+            assert _near(_measured(monkeypatch, c, order), want), (c, order)
+
+
+def test_spline_errors_refine_overflow_is_a_stated_difference(monkeypatch):
+    # The golden section probes a curve point whose offset squares past the
+    # float range, so the full scan raises; Newton's iterates stay nearer
+    # the point's own sample and measure it.  Only coordinates of 1e153 and
+    # more can get there (see _squares_fit).
+    c, pts = _refine_overflow_case()
+    samples = max(256, 4 * (len(pts) + 1))
+    assert _outcome(reference_curve_distances, pts, c, samples) \
+        is OverflowError
+    got = _measured(monkeypatch, c, pts)
+    assert got is not OverflowError and not any(map(math.isnan, got))
+
+
+def test_newton_refine_returns_the_smallest_distance_seen():
+    # a point exactly on grid sample 129 is at squared distance 0 in the
+    # sample table; Newton's own evaluation of the cubic there, in another
+    # operation order, rounds to ~1e-29, and the result must stay 0
+    c = CubicBezier(Point2(52, 60), Point2(29, 22), Point2(32, 22),
+                    Point2(57, 33))
+    xs, ys = metrics._curve_table(c, 300)
+    assert metrics._newton_refine(c, 300, xs[129], ys[129], 129, 0.0) == 0.0
+
+
+@given(controls=st.lists(st.floats(-300, 300), min_size=8, max_size=8),
+       m=st.integers(1, 300), noise=st.integers(0, 12),
+       coarse=st.integers(1, 8), rnd=st.randoms(use_true_random=False))
+# two curves whose ends all but stop, where f is not convex over the
+# intervals by the nearest sample, u = 1.  A vertical line turns back just
+# before its end, so the point (0, 0), between the last two samples, is on
+# it, but f'' < 0 at u = 1.  The other's end at (0, 0) is a local minimum
+# of the distance from (1, 0), and 3.4e-9 px lower lies another
+@example(controls=[0.0, 1.0, 0.0, 171.0, 0.0, 0.0, 0.0, -0.00390625], m=2,
+         noise=0, coarse=1, rnd=random.Random(0))
+@example(controls=[70.0, 0.0, 0.0, 94.0, 0.0, 0.03125, 0.0, 0.0], m=250,
+         noise=1, coarse=1, rnd=random.Random(1))
+def test_newton_refine_matches_golden_section_on_random_runs(controls, m,
+                                                             noise, coarse,
+                                                             rnd):
+    c = CubicBezier(*[Point2(controls[k], controls[k + 1])
+                      for k in range(0, 8, 2)])
+    pts = [Point2(round(p.x + rnd.randint(-noise, noise)),
+                  round(p.y + rnd.randint(-noise, noise)))
+           for p in uniform_samples(c, max(2, m))[:m]]
+    # on spline_errors' grid the two refines agree; on any grid, Newton
+    # never returns more than the point's nearest-sample distance
+    for n in (max(256, 4 * (m + 1)), coarse):
+        xs, ys = metrics._curve_table(c, n)
+        for (px, py), (i, d2) in zip(pts, metrics._nearest_samples(pts, xs,
+                                                                    ys)):
+            got = metrics._newton_refine(c, n, px, py, i, d2)
+            assert got <= d2
+            if n >= 256:
+                want = metrics._refine(c, n, px, py, i, d2)
+                assert abs(math.sqrt(got) - math.sqrt(want)) <= 1e-9
 
 
 def test_spline_errors_exact_roundtrip():

@@ -20,7 +20,7 @@ from beziertrace.subdivision import (FLAG_CORNER, FLAG_DEPTH_CAPPED,
 from _reference import reference_split_point
 from helpers import (chord_aligned_cubic, circle_image, filled_rect_image,
                      uniform_samples)
-from test_metrics import _oracle_cases, _outcome
+from test_metrics import _oracle_cases, _outcome, _refine_overflow_case
 
 
 def _spread_with_radius(r):
@@ -115,20 +115,6 @@ def _split_oracle_cases():
     cases.append((huge, [Point2(7 + i, 6) for i in range(20)]))
     cases.append((line, arch[:9] + [Point2(e, 0)] + arch[10:]))
     return cases
-
-
-def _refine_overflow_case():
-    """A run whose nearest-sample search stays finite but whose point 3
-    overflows in the refine: the curve's top edge sits just under the float
-    square root, and the golden section's first probe, between the point's
-    nearest sample and the bulge, passes it.  The other points are at an
-    infinite squared distance, so a bound on distances alone skips point 3."""
-    top, a, h = 1.3407801838936079e154, 1e152, 1e148
-    c = CubicBezier(Point2(-a, top), Point2(-a / 3, top + h),
-                    Point2(a / 3, top + 0.6 * h), Point2(a, top))
-    pts = [Point2(5e153 - 1e152 * k, 0.0) for k in range(10)]
-    pts[3] = Point2(-1.1718749999999999e151, 0.0)  # x of grid sample 113
-    return c, pts
 
 
 def test_split_point_matches_full_pass_oracle():

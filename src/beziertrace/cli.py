@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import asdict
 
 from .contour import (ContourDocument, load_image, read_contour,
                       trace_boundaries, write_contour)
@@ -136,7 +137,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except DomainError as exc:  # bad parameter values are usage errors
+    except (DomainError, OSError) as exc:
+        # bad parameter values and unwritable output paths are usage errors;
+        # the readers turn their own OSError into FormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FormatError as exc:
@@ -173,17 +176,24 @@ def _fit_config(args) -> FitConfig:
                      max_error=args.max_error)
 
 
-def cmd_corners(args) -> int:
-    doc = read_contour(args.contours)
-    params = _corner_params(args)
-    loops = []
-    for i, contour in enumerate(doc.contours):
+def _long_enough(contours, params):
+    """(index, contour) of every loop long enough to carry a support chord;
+    each shorter loop is skipped with a warning."""
+    kept = []
+    for i, contour in enumerate(contours):
         if contour.n <= 2 * params.support_length:
             log.warning("loop %d skipped: %d points is too short for "
                         "support length %d", i, contour.n, params.support_length)
-            continue
-        corners = detect_corners(contour, params)
-        loops.append((i, contour, corners))
+        else:
+            kept.append((i, contour))
+    return kept
+
+
+def cmd_corners(args) -> int:
+    doc = read_contour(args.contours)
+    params = _corner_params(args)
+    loops = [(i, contour, detect_corners(contour, params))
+             for i, contour in _long_enough(doc.contours, params)]
     if args.json:
         payload = {"loops": [
             {"loop": i,
@@ -234,14 +244,7 @@ def _fit_all(contours, params, cfg, workers):
     program starts no other, so no lock is held across the fork.  Where the
     platform cannot fork, the loops run in this process.
     """
-    fittable = []
-    for i, contour in enumerate(contours):
-        if contour.n <= 2 * params.support_length:
-            log.warning("loop %d skipped: %d points is too short for "
-                        "support length %d", i, contour.n, params.support_length)
-            continue
-        fittable.append(contour)
-
+    fittable = [contour for _, contour in _long_enough(contours, params)]
     run = functools.partial(_fit_loop, params=params, cfg=cfg)
     rows = map(run, fittable)
     workers = min(workers, len(fittable))
@@ -310,18 +313,7 @@ def cmd_fit(args) -> int:
         times.append(time.perf_counter() - t0)
     report.wall_time = statistics.median(times)
 
-    config_echo = {
-        "support_length": params.support_length,
-        "corner_threshold": params.corner_threshold,
-        "suppress_range": params.suppress_range,
-        "removal_rate": cfg.removal_rate,
-        "removal_iters": cfg.removal_iters,
-        "spread_threshold": cfg.spread_threshold,
-        "eps_t": cfg.eps_t,
-        "min_segment_points": cfg.min_segment_points,
-        "max_error": cfg.max_error,
-        "variance": "population",
-    }
+    config_echo = {**asdict(params), **asdict(cfg), "variance": "population"}
     spline_doc = SplineDocument(doc.width, doc.height,
                                 [spline for _, spline, _ in loops],
                                 report, config_echo)

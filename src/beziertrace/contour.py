@@ -17,11 +17,10 @@ log = logging.getLogger(__name__)
 
 # Moore neighborhood in clockwise screen order (y grows downward), E first.
 _CW8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-_CW8_INDEX = {d: i for i, d in enumerate(_CW8)}
-# Tracing marks, kept in a 0/1 copy of the bits: a loop visited the pixel; a
-# loop already follows the crack between the pixel and its east neighbour.
-_VISITED = 2
-_EAST_CLOSED = 4
+# Tracing marks: a loop visited the pixel; a loop already follows the crack
+# between the pixel and its east neighbour.
+_VISITED = 1
+_EAST_CLOSED = 2
 # any nonzero byte is object, as in RasterImage.at
 _AS_BIT = bytes([0] + [1] * 255)
 
@@ -200,51 +199,39 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
 # ------------------------------ boundary tracing -----------------------------
 
 
-def _next_boundary_pixel(img, marks, cur, back):
-    """Clockwise Moore scan around cur starting at back.
+def _moore_trace(bits, marks, ring, start, back):
+    """Follow one boundary loop of the framed grid from the pixel start,
+    entered from its background neighbour back; ring holds the flat
+    offsets of the Moore neighbours clockwise from east, twice over.
 
-    Returns the next object pixel and the background pixel scanned just
-    before it (the new backtrack), or (None, None) for an isolated pixel.
-    Flags cur east-closed if its in-image east neighbour is scanned.
+    Each step scans clockwise around the current pixel from its backtrack
+    to the next object pixel; the background pixel scanned just before it
+    is the new backtrack.  Every pixel the loop visits is flagged visited,
+    and every pixel whose east neighbour the scan passes, east-closed.
     """
-    cx, cy = cur
-    start = _CW8_INDEX[(back[0] - cx, back[1] - cy)]
-    prev = back
-    for step in range(8):  # step 0 is back itself, always background
-        k = (start + step) % 8
-        dx, dy = _CW8[k]
-        cand = (cx + dx, cy + dy)
-        if img.at(*cand):
-            return cand, prev
-        if k == 0 and cx + 1 < img.width:
-            marks[cy * img.width + cx] |= _EAST_CLOSED
-        prev = cand
-    return None, None
-
-
-def _moore_trace(img, marks, start, backtrack):
-    """Follow one boundary loop from start; stops on Jacob's criterion
-    (re-entering the start pixel from the original backtrack).  Every pixel
-    the loop visits is flagged visited in marks."""
-    w = img.width
-    marks[start[1] * w + start[0]] |= _VISITED
+    marks[start] |= _VISITED
     loop = [start]
-    first_state = (start, backtrack)
-    seen = {first_state}
-    cur, back = start, backtrack
+    seen = {(start, back)}
+    cur = start
     while True:
-        nxt, nb = _next_boundary_pixel(img, marks, cur, back)
-        if nxt is None:
+        k = ring.index(back - cur)
+        for step in ring[k:k + 8]:  # the first probe is back, background
+            nxt = cur + step
+            if bits[nxt]:
+                break
+            if step == 1:
+                marks[cur] |= _EAST_CLOSED
+            back = nxt
+        else:
+            return loop  # an isolated pixel
+        # Jacob's criterion: the start state comes round again; any other
+        # repeat is a safety net, and validation rejects the loop if broken
+        if (nxt, back) in seen:
             return loop
-        state = (nxt, nb)
-        if state == first_state:
-            return loop
-        if state in seen:  # safety net; validation rejects the loop if broken
-            return loop
-        seen.add(state)
+        seen.add((nxt, back))
         loop.append(nxt)
-        marks[nxt[1] * w + nxt[0]] |= _VISITED
-        cur, back = nxt, nb
+        marks[nxt] |= _VISITED
+        cur = nxt
 
 
 def _loop_violation(points) -> str | None:
@@ -273,33 +260,38 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
     shoelace area and holes to negative.  Regions whose boundary cannot form
     a valid loop (single pixels, one-pixel-wide features that force a pixel
     to repeat) are dropped with a warning.
+
+    The image is copied into a grid with one background pixel on every
+    side, the frame of 0-pixels that Suzuki & Abe assume, and traced on flat
+    indices into it.  Every neighbour probe and every run end then lands
+    inside the grid, and the frame reads as background wherever the image
+    edge would, so no probe or run needs a bounds check.
     """
     w, h = img.width, img.height
-    bits = img.bits.translate(_AS_BIT)
-    marks = bytearray(bits)
-    outers, holes = [], []  # pixel lists, each kind in raster order
+    fw = w + 2  # row stride of the framed grid
+    bits = bytearray(fw * (h + 2))
     for y in range(h):
-        row = y * w
-        end = row + w
+        row = (y + 1) * fw + 1
+        bits[row:row + w] = img.bits[y * w:y * w + w].translate(_AS_BIT)
+    marks = bytearray(len(bits))
+    ring = tuple(dx + dy * fw for dx, dy in _CW8) * 2
+    outers, holes = [], []  # flat index lists, each kind in raster order
+    for row in range(fw, fw * (h + 1), fw):
+        end = row + fw
         s = bits.find(1, row, end)
         while s >= 0:
-            e = bits.find(0, s, end)
-            if e < 0:
-                e = end
+            e = bits.find(0, s, end)  # the right frame column ends every run
             if not marks[s] & _VISITED:  # first pixel of a new object
-                outers.append(_moore_trace(img, marks, (s - row, y),
-                                           (s - row - 1, y)))
-            if (e < end and y > 0 and bits[e - w]
-                    and not marks[e - 1] & _EAST_CLOSED):
+                outers.append(_moore_trace(bits, marks, ring, s, s - 1))
+            if bits[e - fw] and not marks[e - 1] & _EAST_CLOSED:
                 # east of the run, below object, on no traced loop: a new hole
-                holes.append(_moore_trace(img, marks, (e - row, y - 1),
-                                          (e - row, y)))
+                holes.append(_moore_trace(bits, marks, ring, e - fw, e))
             s = bits.find(1, e, end)
 
-    raw = [(pixels, False) for pixels in outers]
-    raw += [(pixels, True) for pixels in holes]
+    raw = [(loop, False) for loop in outers] + [(loop, True) for loop in holes]
     contours: list[tuple[tuple, Contour]] = []
-    for seq, (pixels, is_hole) in enumerate(raw):
+    for seq, (loop, is_hole) in enumerate(raw):
+        pixels = [(i % fw - 1, i // fw - 1) for i in loop]
         problem = _loop_violation(pixels)
         if problem is not None:
             if len(pixels) > 1:
@@ -307,13 +299,11 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
                             "hole" if is_hole else "outer", pixels[0], problem)
             continue
         contour = Contour([Point2(float(x), float(y)) for x, y in pixels])
-        area = contour.signed_area()
-        if (area < 0.0) != is_hole:
+        if (contour.signed_area() < 0.0) != is_hole:
             head = contour.points[0]
             contour.points = [head] + contour.points[:0:-1]
-        min_y = min(p[1] for p in pixels)
-        min_x = min(p[0] for p in pixels if p[1] == min_y)
-        contours.append(((min_y, min_x, int(is_hole), seq), contour))
+        # flat indices run in row-major order: the least is topmost-leftmost
+        contours.append(((min(loop), is_hole, seq), contour))
 
     contours.sort(key=lambda item: item[0])
     return [c for _, c in contours]

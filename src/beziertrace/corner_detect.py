@@ -8,6 +8,7 @@ neighborhood.  Corners split the loop into independently fittable segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bezier_core import Point2, perpendicular_distance
@@ -31,8 +32,8 @@ class CornerParams:
     def __post_init__(self):
         if self.support_length < 1:
             raise DomainError("support_length must be positive")
-        if self.corner_threshold <= 0.0:
-            raise DomainError("corner_threshold must be positive")
+        if not 0.0 < self.corner_threshold < math.inf:  # also rejects NaN
+            raise DomainError("corner_threshold must be finite and positive")
         if self.suppress_range is None:
             self.suppress_range = self.support_length
         elif self.suppress_range < 1:

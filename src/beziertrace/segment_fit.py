@@ -42,14 +42,14 @@ class FitConfig:
             raise DomainError("removal_rate must be in [0, 0.5)")
         if self.removal_iters < 0:
             raise DomainError("removal_iters must be non-negative")
-        if self.spread_threshold <= 0.0:
-            raise DomainError("spread_threshold must be positive")
+        if not 0.0 < self.spread_threshold < math.inf:  # also rejects NaN
+            raise DomainError("spread_threshold must be finite and positive")
         if not 0.0 < self.eps_t < 0.25:
             raise DomainError("eps_t must be in (0, 0.25)")
         if self.min_segment_points < 4:
             raise DomainError("min_segment_points must be at least 4")
-        if self.max_error is not None and self.max_error <= 0.0:
-            raise DomainError("max_error must be positive when set")
+        if self.max_error is not None and not 0.0 < self.max_error < math.inf:
+            raise DomainError("max_error must be finite and positive when set")
 
 
 @dataclass

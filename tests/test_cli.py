@@ -12,8 +12,10 @@ from beziertrace.cli import main
 from beziertrace.contour import ContourDocument, trace_boundaries, write_contour
 from beziertrace.bezier_core import Point2
 from beziertrace.contour import Contour, RasterImage
-from beziertrace.errors import ConsistencyError
+from beziertrace.corner_detect import CornerParams
+from beziertrace.errors import ConsistencyError, DomainError
 from beziertrace.render_io import SplineDocument, write_spline
+from beziertrace.segment_fit import FitConfig
 
 from helpers import (circle_image, filled_rect_image, pbm_plain_bytes,
                      pbm_raw_bytes, rasterize_polygon, rect_with_hole_image,
@@ -371,3 +373,41 @@ def test_help_documents_defaults(capsys):
     assert "--support-length" in out
     assert "default: 14" in out
     assert "--spread-threshold" in out
+
+
+_THRESHOLDS = [(CornerParams, "corner_threshold", "--corner-threshold"),
+               (FitConfig, "spread_threshold", "--spread-threshold"),
+               (FitConfig, "max_error", "--max-error")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, field, flag", _THRESHOLDS)
+def test_non_finite_threshold_is_rejected(cls, field, flag, value):
+    with pytest.raises(DomainError):
+        cls(**{field: float(value)})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, field, flag", _THRESHOLDS)
+def test_non_finite_threshold_is_usage_error(tmp_path, rect_pbm, capsys,
+                                            cls, field, flag, value):
+    contours = _trace(tmp_path, rect_pbm)
+    capsys.readouterr()
+    base = tmp_path / "out"
+    assert main(["fit", str(contours), "-o", str(base),
+                 f"{flag}={value}"]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out.svg").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "fit"])
+def test_unwritable_output_is_usage_error(tmp_path, rect_pbm, capsys,
+                                          command):
+    source = rect_pbm if command == "trace" else _trace(tmp_path, rect_pbm)
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out"
+    assert main([command, str(source), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -191,6 +192,16 @@ def test_one_pixel_wide_whisker_dropped():
     for x in range(11, 17):  # 1-px tail forces a revisit
         img.bits[5 * 20 + x] = 1
     assert trace_boundaries(img) == []
+
+
+def test_dropped_loop_warning_names_image_coordinates(caplog):
+    img = filled_rect_image(20, 12, 3, 3, 10, 8)
+    for x in range(11, 17):
+        img.bits[5 * 20 + x] = 1
+    with caplog.at_level(logging.WARNING, logger="beziertrace.contour"):
+        trace_boundaries(img)
+    assert caplog.messages == [
+        "dropping outer boundary at (3, 3): loop revisits a pixel"]
 
 
 def _oracle_bitmaps():

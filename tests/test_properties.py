@@ -19,6 +19,7 @@ from beziertrace.segment_fit import FitConfig
 from beziertrace.subdivision import fit_outline
 
 from helpers import pbm_plain_bytes, pbm_raw_bytes
+from _reference import reference_trace
 
 
 @st.composite
@@ -89,6 +90,18 @@ def test_pipeline_invariants_on_random_bitmaps(img, support, max_error):
     doc = SplineDocument(img.width, img.height, [s for _, s in pairs], report,
                          {"support_length": support, "max_error": max_error})
     assert _rewrites_equal(write_spline, read_spline, doc)
+
+
+@given(img=bitmaps(), data=st.data())
+def test_trace_matches_reference_on_any_object_byte(img, data):
+    # any nonzero byte is object, so each object pixel gets a byte of 1-255
+    n = len(img.bits)
+    redrawn = data.draw(st.binary(min_size=n, max_size=n))
+    bits = bytearray(v % 255 + 1 if on else 0
+                     for on, v in zip(img.bits, redrawn))
+    got = trace_boundaries(RasterImage(img.width, img.height, bits))
+    assert [c.points for c in got] == reference_trace(img.width, img.height,
+                                                      bits)
 
 
 # ------------------------------- reader fuzzing ------------------------------

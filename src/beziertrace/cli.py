@@ -233,9 +233,9 @@ def _fit_loop(contour, params, cfg):
     return spline, spline_errors(contour, spline)
 
 
-def _fit_all(contours, params, cfg, workers):
-    """Fit and measure every loop long enough to carry a support chord;
-    returns (contour, spline, errors) triples in input order.
+def _fit_all(fittable, params, cfg, workers):
+    """Fit and measure every loop of fittable; returns (contour, spline,
+    errors) triples in input order.
 
     Loops are independent, so with more than one worker they go to a pool
     of forked processes.  A forked worker starts without re-importing the
@@ -244,7 +244,6 @@ def _fit_all(contours, params, cfg, workers):
     program starts no other, so no lock is held across the fork.  Where the
     platform cannot fork, the loops run in this process.
     """
-    fittable = [contour for _, contour in _long_enough(contours, params)]
     run = functools.partial(_fit_loop, params=params, cfg=cfg)
     rows = map(run, fittable)
     workers = min(workers, len(fittable))
@@ -300,13 +299,13 @@ def cmd_fit(args) -> int:
     cfg = _fit_config(args)
     layers = _parse_debug_layers(args.debug_layers)
     workers = args.threads if args.threads else _available_cpus()
-    repeats = args.repeat
+    fittable = [contour for _, contour in _long_enough(doc.contours, params)]
 
     loops = []
     times = []
-    for _ in range(repeats):
+    for _ in range(args.repeat):
         t0 = time.perf_counter()
-        loops = _fit_all(doc.contours, params, cfg, workers)
+        loops = _fit_all(fittable, params, cfg, workers)
         if not loops:
             raise ConsistencyError("no loop could be fitted")
         report = report_from_errors(loops)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bezier_core import Point2, perpendicular_distance
+from .bezier_core import Point2
 from .contour import Contour
-from .errors import DomainError, PreconditionError
+from .errors import DegenerateChordError, DomainError, PreconditionError
 
 
 @dataclass
@@ -61,6 +61,14 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
     by several chords keeps its highest distance.  A candidate survives
     suppression only if no other candidate within suppress_range positions
     on either side is stronger; equal-strength ties go to the smaller index.
+
+    Distances are bit for bit perpendicular_distance's: each chord's slope
+    m, m * x_i and sqrt(m * m + 1) are computed once, and every point under
+    it takes the slope form in the same operation order.  The coordinate
+    lists run support_length points past the loop's end, so a chord needs
+    no wrapped index.  Suppression looks at the candidates in index order,
+    outward from each one in both directions around the loop, and stops at
+    the first neighbour farther than suppress_range.
     """
     params = params or CornerParams()
     n = c.n
@@ -68,45 +76,63 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
     if n <= 2 * span:
         raise PreconditionError(
             f"loop of {n} points is too short for support length {span}")
-    pts = c.points
+    pts = c.points + c.points[:span]
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    threshold = params.corner_threshold
+    sqrt = math.sqrt
 
     assigned: dict[int, float] = {}
-    for i in range(n):
-        pi = pts[i]
-        pk = pts[(i + span) % n]
-        best = 0.0
-        best_js: list[int] = []
-        for off in range(1, span):
-            j = (i + off) % n
-            d = perpendicular_distance(pts[j], pi, pk)
-            if d > best:
-                best = d
-                best_js = [j]
-            elif d == best:
-                best_js.append(j)
-        if best > params.corner_threshold:
-            for j in best_js:
-                if assigned.get(j, 0.0) < best:
-                    assigned[j] = best
+    # with support_length 1 no point lies under a chord, so none is checked
+    for i in range(n) if span > 1 else ():
+        k = i + span
+        if pts[i] == pts[k]:
+            raise DegenerateChordError("chord endpoints coincide")
+        xi = xs[i]
+        yi = ys[i]
+        mx = xs[k] - xi
+        if mx == 0.0:
+            ds = [abs(x - xi) for x in xs[i + 1:k]]
+        else:
+            m = (ys[k] - yi) / mx
+            mxi = m * xi
+            root = sqrt(m * m + 1.0)
+            ds = [abs(y - m * x + mxi - yi) / root
+                  for x, y in zip(xs[i + 1:k], ys[i + 1:k])]
+        # the running maximum starts at 0.0, so a NaN distance never wins
+        best = max(0.0, *ds)
+        if best > threshold:
+            for j, d in enumerate(ds, i + 1):
+                if d == best:
+                    if j >= n:
+                        j -= n
+                    if assigned.get(j, 0.0) < best:
+                        assigned[j] = best
 
-    reach = params.suppress_range
-    kept: list[tuple[int, float]] = []
-    for j, dj in assigned.items():
-        suppressed = False
-        for q, dq in assigned.items():
-            if q == j:
-                continue
-            gap = (q - j) % n
-            if min(gap, n - gap) > reach:
-                continue
-            if dq > dj or (dq == dj and q < j):
-                suppressed = True
+    order = sorted(assigned)
+    kept = [j for p, j in enumerate(order)
+            if not _suppressed(order, p, assigned, n, params.suppress_range)]
+    return CornerSet(kept, [assigned[j] for j in kept])
+
+
+def _suppressed(order: list[int], p: int, assigned: dict[int, float], n: int,
+                reach: int) -> bool:
+    """True when a candidate within reach of order[p] on a loop of n points
+    is stronger, or as strong at a smaller index.  order holds the candidate
+    indices sorted, so each direction's scan stops at its first candidate
+    out of reach."""
+    j = order[p]
+    dj = assigned[j]
+    count = len(order)
+    for step in (1, -1):
+        for t in range(1, count):
+            q = order[(p + step * t) % count]
+            if step * (q - j) % n > reach:
                 break
-        if not suppressed:
-            kept.append((j, dj))
-
-    kept.sort()
-    return CornerSet([j for j, _ in kept], [d for _, d in kept])
+            dq = assigned[q]
+            if dq > dj or dq == dj and q < j:
+                return True
+    return False
 
 
 def segment_boundaries(c: Contour, corners: CornerSet) -> list[tuple[int, int]]:

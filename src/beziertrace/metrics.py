@@ -30,20 +30,25 @@ def compression_ratio(n_points: int, n_segments: int) -> float:
     return n_points / n_segments
 
 
+def _bernstein(samples: int) -> list[tuple[float, float, float, float]]:
+    """The four cubic Bernstein weights at u = i / samples, i = 0..samples."""
+    us = [i / samples for i in range(samples + 1)]
+    return [(v * v * v, 3.0 * u * v * v, 3.0 * u * u * v, u * u * u)
+            for u, v in zip(us, [1.0 - u for u in us])]
+
+
+# The grid of every segment of up to 64 points; other sizes build their own
+# basis per call, as caching every size would keep a table per run length.
+_BERNSTEIN_256 = _bernstein(256)
+
+
 def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]]:
-    xs = []
-    ys = []
-    p0, p1, p2, p3 = c
-    for i in range(samples + 1):
-        u = i / samples
-        v = 1.0 - u
-        b0 = v * v * v
-        b1 = 3.0 * u * v * v
-        b2 = 3.0 * u * u * v
-        b3 = u * u * u
-        xs.append(b0 * p0.x + b1 * p1.x + b2 * p2.x + b3 * p3.x)
-        ys.append(b0 * p0.y + b1 * p1.y + b2 * p2.y + b3 * p3.y)
-    return xs, ys
+    basis = _BERNSTEIN_256 if samples == 256 else _bernstein(samples)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    return ([b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
+             for b0, b1, b2, b3 in basis],
+            [b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3
+             for b0, b1, b2, b3 in basis])
 
 
 # Rounding pad on distances and on the sample gap, so that a sample skipped
@@ -59,42 +64,76 @@ _SKIP_MAX_D2 = 1e300
 _SQUARE_SAFE = 1e153
 
 
-def _nearest_samples(pts, xs: list[float], ys: list[float]):
-    """(index, squared distance) of each point's nearest grid sample.
+def _sample_gap(xs: list[float], ys: list[float]) -> float:
+    """Longest chord between neighbouring samples, padded for rounding."""
+    return max(map(math.dist, zip(xs, ys), zip(xs[1:], ys[1:]))) \
+        * _PAD_REL + _PAD_ABS
+
+
+def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
+                    gap: float, seed: int) -> tuple[int, float]:
+    """(index, squared distance) of the point's nearest grid sample.
 
     The nearest sample is found exactly but without visiting every sample:
-    the bound starts from sample 0 and from the previous point's nearest
-    sample (points run along the curve), and a sample at distance d lets
-    the sweep skip the next floor((d - best) / gap) samples, gap being the
-    longest chord between neighbours; by the triangle inequality none of
-    them can be closer.  Ties go to the first sample.
+    the bound starts from sample 0 and from the seed sample, and a sample at
+    distance d lets the sweep skip the next floor((d - best) / gap) samples,
+    gap being _sample_gap of the table; by the triangle inequality none of
+    them can be closer.  Ties go to the first sample, so the result does not
+    depend on the seed, only the work does.
     """
-    n = len(xs) - 1
-    # longest chord between neighbouring samples, padded for rounding
-    gap = max(map(math.hypot, [b - a for a, b in zip(xs, xs[1:])],
-                  [b - a for a, b in zip(ys, ys[1:])])) * _PAD_REL + _PAD_ABS
     sqrt = math.sqrt
+    n = len(xs) - 1
+    # a NaN at sample 0 keeps index 0, as a full scan does
+    best_i = 0
+    best = (xs[0] - px) ** 2 + (ys[0] - py) ** 2
+    d2 = (xs[seed] - px) ** 2 + (ys[seed] - py) ** 2
+    if d2 < best:
+        best_i, best = seed, d2
+    reach = sqrt(best) * _PAD_REL + _PAD_ABS
+    i = 1
+    while i <= n:
+        d2 = (xs[i] - px) ** 2 + (ys[i] - py) ** 2
+        if d2 < best or d2 == best and i < best_i:
+            best_i, best = i, d2
+            reach = sqrt(d2) * _PAD_REL + _PAD_ABS
+            i += 1
+            continue
+        skip = (sqrt(d2) - reach) / gap
+        i += 1 + int(skip) if d2 < _SKIP_MAX_D2 and skip >= 1.0 else 1
+    return best_i, best
+
+
+def _nearest_samples(pts, xs: list[float], ys: list[float]):
+    """(index, squared distance) of each point's nearest grid sample
+    (_nearest_sample), each seeded from the previous point's, as points
+    run along the curve."""
+    gap = _sample_gap(xs, ys)
     seed = 0
     for px, py in pts:
-        # a NaN at sample 0 keeps index 0, as a full scan does
-        best_i = 0
-        best = (xs[0] - px) ** 2 + (ys[0] - py) ** 2
-        d2 = (xs[seed] - px) ** 2 + (ys[seed] - py) ** 2
-        if d2 < best:
-            best_i, best = seed, d2
-        reach = sqrt(best) * _PAD_REL + _PAD_ABS
-        i = 1
-        while i <= n:
-            d2 = (xs[i] - px) ** 2 + (ys[i] - py) ** 2
-            if d2 < best or d2 == best and i < best_i:
-                best_i, best = i, d2
-                reach = sqrt(d2) * _PAD_REL + _PAD_ABS
-                i += 1
-                continue
-            skip = (sqrt(d2) - reach) / gap
-            i += 1 + int(skip) if d2 < _SKIP_MAX_D2 and skip >= 1.0 else 1
-        seed = best_i
-        yield best_i, best
+        seed, d2 = _nearest_sample(px, py, xs, ys, gap, seed)
+        yield seed, d2
+
+
+def _downhill_samples(pts, xs: list[float], ys: list[float], seed: int):
+    """(index, squared distance) of a grid sample near each point, found by
+    walking from the previous point's sample to neighbours while they are
+    closer.  The walk can stop at a local minimum, so its distance is an
+    upper bound on the nearest sample's, in the same arithmetic."""
+    n = len(xs) - 1
+    s = seed
+    for px, py in pts:
+        d2 = (xs[s] - px) ** 2 + (ys[s] - py) ** 2
+        while s < n:
+            e = (xs[s + 1] - px) ** 2 + (ys[s + 1] - py) ** 2
+            if not e < d2:
+                break
+            s, d2 = s + 1, e
+        while s > 0:
+            e = (xs[s - 1] - px) ** 2 + (ys[s - 1] - py) ** 2
+            if not e < d2:
+                break
+            s, d2 = s - 1, e
+        yield s, d2
 
 
 def _refine(c: CubicBezier, n: int, px: float, py: float,
@@ -279,34 +318,45 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     and that value (ties to the first index; a NaN at lo wins, later NaNs
     lose), and it raises where that call raises; needs lo < hi.
 
-    Every point gets its nearest-sample distance g, but few are refined.
-    Refining never raises a distance above g, so once the point with the
-    largest g is refined to d, a point with g < d can neither pass d nor
-    tie with it, and only points with g >= d are refined.  When every g
-    ties near the top, that is every point, as in the full pass.
+    A point's refined distance is never above g, its nearest-sample
+    distance, and g is never above sqrt(ub), the distance of any sample.
+    Each point first gets such an upper bound ub from a downhill walk along
+    the sample table (_downhill_samples).  The point with the largest ub is
+    swept exactly and refined to d0; a point with sqrt(ub) < d0 can then
+    neither pass d0 nor tie with it, and only points with sqrt(ub) >= d0
+    get the exact sweep for g.  Among them, once the point with the largest
+    g is refined to d, only points with g >= d are refined.  When every
+    distance ties near the top, that is every point, as in the full pass.
     """
+    if not _squares_fit(pts, c):
+        # a square may overflow: take the full pass, so that OverflowError
+        # is raised exactly where it raises
+        dists = curve_distances(pts, c)
+        best_i = max(range(lo, hi), key=dists.__getitem__)
+        return best_i, dists[best_i]
+
     n = max(256, 4 * len(pts))
     xs, ys = _curve_table(c, n)
-    near = list(_nearest_samples(pts, xs, ys))
-    dists = {}
+    sqrt = math.sqrt
+    gap = _sample_gap(xs, ys)
+    # points run along the curve, so the walk starts lo's share along it
+    walk = list(_downhill_samples(pts[lo:hi], xs, ys, n * lo // len(pts)))
+    k0 = max(range(hi - lo), key=lambda k: walk[k][1])
+    j0 = lo + k0
+    d0 = sqrt(_refine(c, n, *pts[j0],
+                      *_nearest_sample(*pts[j0], xs, ys, gap, walk[k0][0])))
+    near = {j: _nearest_sample(*pts[j], xs, ys, gap, s)
+            for j, (s, ub) in enumerate(walk, lo) if sqrt(ub) >= d0}
+    dists = {j0: d0}
 
     def dist(j: int) -> float:
         if j not in dists:
-            px, py = pts[j]
-            dists[j] = math.sqrt(_refine(c, n, px, py, *near[j]))
+            dists[j] = sqrt(_refine(c, n, *pts[j], *near[j]))
         return dists[j]
 
-    if _squares_fit(pts, c):
-        g = [math.sqrt(d2) for _, d2 in near]
-        dk = dist(max(range(lo, hi), key=g.__getitem__))
-        picks = [j for j in range(lo, hi) if g[j] >= dk]
-    else:
-        # a square may overflow: refine every point, so that OverflowError
-        # is raised exactly where the full pass raises it
-        for j in range(len(pts)):
-            dist(j)
-        picks = range(lo, hi)
-    best_i = max(picks, key=dist)
+    g = {j: sqrt(d2) for j, (_, d2) in near.items()}
+    dk = dist(max(g, key=g.__getitem__))
+    best_i = max([j for j in g if g[j] >= dk], key=dist)
     return best_i, dists[best_i]
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import random
 import subprocess
@@ -352,6 +353,24 @@ def test_fit_repeat_flag(tmp_path, rect_pbm, capsys):
                  "--repeat", "3", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["wall_time"] > 0.0
+
+
+def test_fit_repeat_warns_once_per_skipped_loop(tmp_path, caplog):
+    # the 3x3 hole traces to a loop too short for the default support chord
+    p = tmp_path / "holes.pbm"
+    p.write_bytes(pbm_plain_bytes(rect_with_hole_image()))
+    contours = _trace(tmp_path, p, "holes.json")
+    outs = []
+    for repeat in ("1", "3"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="beziertrace.cli"):
+            assert main(["fit", str(contours), "-o", str(tmp_path / repeat),
+                         "--repeat", repeat, "--threads", "1"]) == 0
+        assert caplog.messages == [
+            "loop 1 skipped: 12 points is too short for support length 14"]
+        outs.append(((tmp_path / (repeat + ".svg")).read_bytes(),
+                     (tmp_path / (repeat + ".json")).read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def test_module_entry_point(tmp_path, rect_pbm):

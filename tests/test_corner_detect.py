@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beziertrace.bezier_core import Point2
 from beziertrace.contour import Contour, trace_boundaries
 from beziertrace.corner_detect import (CornerParams, CornerSet, detect_corners,
                                        range_points, segment_boundaries)
-from beziertrace.errors import DomainError, PreconditionError
+from beziertrace.errors import (DegenerateChordError, DomainError,
+                               PreconditionError)
 
 from helpers import (circle_image, filled_rect_image, rasterize_polygon,
                      rotate_contour, star_polygon)
@@ -89,6 +92,60 @@ def test_matches_reference_on_random_polygons():
             gap = (b - a) % loop.n
             if got.indices != [a]:
                 assert min(gap, loop.n - gap) > 14
+
+
+@st.composite
+def _jagged_loops(draw):
+    """A loop of distinct points on an 8x8 integer grid, so that chords and
+    distances repeat and equal-strength candidates are common, with corner
+    parameters; the suppression range runs from one point to three times
+    round the loop."""
+    span = draw(st.integers(1, 8))
+    n = draw(st.integers(2 * span + 1, 40))
+    pts = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                        min_size=n, max_size=n, unique=True))
+    threshold = draw(st.sampled_from((0.3, 0.7, 1.0, 1.5, 2.2)))
+    reach = draw(st.sampled_from((1, span, n // 2, n, 3 * n)))
+    return (Contour([Point2(float(x), float(y)) for x, y in pts]),
+            CornerParams(span, threshold, reach))
+
+
+@given(_jagged_loops())
+def test_matches_reference_on_random_jagged_loops(case):
+    got, want_idx, want_str = _detect_both(*case)
+    assert got.indices == want_idx
+    assert got.strengths == want_str
+
+
+def test_support_length_one_finds_no_corners():
+    # a chord one step long has no point under it, so nothing stands off it,
+    # and equal neighbours are no degenerate chord to measure against
+    contour, _ = _rect_contour()
+    params = CornerParams(support_length=1, corner_threshold=0.01)
+    got, want_idx, _ = _detect_both(contour, params)
+    assert got.indices == want_idx == []
+    doubled = Contour([p for p in contour.points for _ in range(2)])
+    assert detect_corners(doubled, params).indices == []
+
+
+def test_nan_point_is_passed_over_like_the_reference():
+    # a NaN distance is never a chord's maximum, wherever it lies under it
+    contour, _ = _rect_contour()
+    for k in range(contour.n):
+        pts = list(contour.points)
+        pts[k] = Point2(math.nan, pts[k].y)
+        got, want_idx, want_str = _detect_both(Contour(pts))
+        assert (got.indices, got.strengths) == (want_idx, want_str), k
+
+
+def test_coincident_chord_endpoints_raise():
+    # the run turns back on itself, so point 4 is also point 6
+    loop = Contour([Point2(float(x), 0.0) for x in (0, 1, 2, 3, 4, 5, 4, 3,
+                                                    2, 1)]
+                   + [Point2(float(x), 1.0) for x in range(8)])
+    detect_corners(loop, CornerParams(support_length=3))
+    with pytest.raises(DegenerateChordError):
+        detect_corners(loop, CornerParams(support_length=2))
 
 
 def test_rotation_equivariance_on_polygon():

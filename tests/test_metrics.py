@@ -149,6 +149,70 @@ def test_farthest_matches_full_pass():
                     == repr(want), (c, lo, hi)
 
 
+@st.composite
+def _farthest_cases(draw):
+    """(points, curve, lo, hi): a random cubic with a run of rounded noisy
+    samples along it, or of repeats of a few points, or a straight cubic
+    whose points lie on grid samples or halfway between two, all at one
+    offset from it, so that every refined distance ties while the
+    nearest-sample distances differ; in order, reversed or shuffled."""
+    controls = draw(st.lists(st.floats(-300, 300), min_size=8, max_size=8))
+    c = CubicBezier(*[Point2(controls[k], controls[k + 1])
+                      for k in range(0, 8, 2)])
+    m = draw(st.integers(1, 120))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("noisy", "repeated", "tied")))
+    if kind == "noisy":
+        noise = draw(st.integers(0, 12))
+        pts = [Point2(round(p.x + rnd.randint(-noise, noise)),
+                      round(p.y + rnd.randint(-noise, noise)))
+               for p in uniform_samples(c, max(2, m))[:m]]
+    elif kind == "repeated":
+        pool = [Point2(rnd.randint(-300, 300), rnd.randint(-300, 300))
+                for _ in range(draw(st.integers(1, 3)))]
+        pts = [rnd.choice(pool) for _ in range(m)]
+    else:
+        # 256 samples of this line fall on x = 6i exactly
+        c = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
+                        Point2(1536, 0))
+        y = draw(st.integers(0, 5))
+        pts = [Point2(6 * i + 3 * rnd.randint(0, 1), y)
+               for i in sorted(rnd.sample(range(256), min(m, 64)))]
+    order = draw(st.sampled_from(("forward", "reversed", "shuffled")))
+    if order == "reversed":
+        pts.reverse()
+    elif order == "shuffled":
+        rnd.shuffle(pts)
+    lo = draw(st.integers(0, len(pts) - 1))
+    hi = draw(st.integers(lo + 1, len(pts)))
+    return pts, c, lo, hi
+
+
+@given(_farthest_cases())
+def test_farthest_matches_full_pass_on_random_runs(case):
+    assert repr(farthest(*case)) == repr(_full_pass_farthest(*case))
+
+
+def test_farthest_sweeps_few_points_exactly(monkeypatch):
+    nearest = metrics._nearest_sample
+    swept = []
+
+    def counting(*args):
+        swept.append(args)
+        return nearest(*args)
+
+    monkeypatch.setattr(metrics, "_nearest_sample", counting)
+    rng = random.Random(8)
+    arch = chord_aligned_cubic(Point2(0, 0), Point2(600, 0), 150.0, 150.0)
+    pts = [Point2(round(p.x) + rng.randint(-2, 2), round(p.y)
+                  + rng.randint(-2, 2)) for p in uniform_samples(arch, 500)]
+    chord = chord_fit(pts[0], pts[-1])
+    got = farthest(pts, chord, 1, len(pts) - 1)
+    assert len(swept) <= 0.03 * len(pts)
+    monkeypatch.undo()
+    assert got == _full_pass_farthest(pts, chord, 1, len(pts) - 1)
+
+
 def _non_finite_cases():
     """(curve, points) pairs with NaN or infinite points or control points."""
     nan, inf = float("nan"), float("inf")

@@ -269,14 +269,7 @@ def _available_cpus() -> int:
 
 def _print_report(report: FitReport, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({
-            "n_points": report.n_points,
-            "n_segments": report.n_segments,
-            "max_dev": report.max_dev,
-            "avg_error": report.avg_error,
-            "compression_ratio": report.compression_ratio,
-            "wall_time": report.wall_time,
-        }, sort_keys=True))
+        print(json.dumps(asdict(report), sort_keys=True))
         return
     headers = ("No. of segs.", "Compression ratio", "Max dev.", "Avg. error",
                "Computation time (s)")

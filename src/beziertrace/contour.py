@@ -309,22 +309,69 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
     return [c for _, c in contours]
 
 
-# ------------------------------ contour documents ----------------------------
+# ------------------------------ JSON documents -------------------------------
+# The rules both document formats share: canonical bytes out, and on the way
+# in, any bad byte, number or shape is a FormatError naming the file.
+
+
+def _write_json(path: str, payload) -> None:
+    """Write payload as canonical JSON: sorted keys, no spaces, ASCII and a
+    trailing newline.  Non-finite numbers are refused before the file is
+    opened."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as exc:
+        raise FormatError(f"document contains non-finite numbers: {exc}") from exc
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
+
+
+def _reject_constant(value: str):
+    raise FormatError(f"non-finite number {value!r} in document")
+
+
+def _load_json(path: str, what: str, keys):
+    """The JSON object in the ASCII file at path, which must hold every key
+    of keys, and the maker of field errors that name the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise FormatError(f"cannot read {what}: {exc}", path=str(path)) from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad ASCII, over-long integers and the
+        # non-finite constants; RecursionError, nesting too deep to parse
+        raise FormatError(f"not valid JSON: {exc}", path=str(path)) from exc
+
+    def fail(field_name: str, message: str) -> FormatError:
+        return FormatError(f"{field_name}: {message}", path=str(path))
+
+    if not isinstance(payload, dict):
+        raise fail("document", "expected a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise fail(key, "missing field")
+    return payload, fail
+
+
+def _integer(value, where: str, least: int, fail) -> int:
+    """value if it is an integer, not a bool, of at least least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise fail(where, f"expected an integer >= {least}, got {value!r}")
+    return value
 
 
 def write_contour(path: str, doc: ContourDocument) -> None:
     """Write traced loops as a canonical JSON document."""
-    payload = {
+    _write_json(path, {
         "width": doc.width,
         "height": doc.height,
         "contours": [
             {"closed": True, "points": [[int(p.x), int(p.y)] for p in c.points]}
             for c in doc.contours
         ],
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
+    })
 
 
 # Coordinates are read into floats, which hold every integer up to 2**53.
@@ -333,29 +380,9 @@ _EXACT_INT = 2 ** 53
 
 def read_contour(path: str) -> ContourDocument:
     """Read and validate a contour document written by ``write_contour``."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read contours: {exc}", path=str(path)) from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bad ASCII and over-long integers;
-        # RecursionError, nesting too deep for the parser
-        raise FormatError(f"not valid JSON: {exc}", path=str(path)) from exc
-
-    def fail(field_name: str, message: str) -> FormatError:
-        return FormatError(f"{field_name}: {message}", path=str(path))
-
-    if not isinstance(payload, dict):
-        raise fail("document", "expected a JSON object")
-    for key in ("width", "height", "contours"):
-        if key not in payload:
-            raise fail(key, "missing field")
-    width, height = payload["width"], payload["height"]
-    if isinstance(width, bool) or not isinstance(width, int) or width <= 0:
-        raise fail("width", f"expected a positive integer, got {width!r}")
-    if isinstance(height, bool) or not isinstance(height, int) or height <= 0:
-        raise fail("height", f"expected a positive integer, got {height!r}")
+    payload, fail = _load_json(path, "contours", ("width", "height", "contours"))
+    width = _integer(payload["width"], "width", 1, fail)
+    height = _integer(payload["height"], "height", 1, fail)
     if not isinstance(payload["contours"], list):
         raise fail("contours", "expected a list")
 

@@ -7,11 +7,11 @@ coordinates printed to three decimals.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bezier_core import CubicBezier, Point2
+from .contour import _integer, _load_json, _write_json
 from .errors import DomainError, FormatError
 from .metrics import FitReport
 from .subdivision import FittedSegment, Spline
@@ -111,20 +111,13 @@ def to_svg(doc: SplineDocument, debug_layers=(), contours=None) -> str:
 def _report_payload(report: FitReport | None):
     if report is None:
         return None
-    return {
-        "n_points": report.n_points,
-        "n_segments": report.n_segments,
-        "max_dev": report.max_dev,
-        "avg_error": report.avg_error,
-        "compression_ratio": report.compression_ratio,
-        # measured time varies run to run; kept out of the canonical bytes
-        "wall_time": None,
-    }
+    # measured time varies run to run; kept out of the canonical bytes
+    return {**asdict(report), "wall_time": None}
 
 
 def write_spline(path: str, doc: SplineDocument) -> None:
     """Write the document as canonical JSON (stable bytes for stable input)."""
-    payload = {
+    _write_json(path, {
         "format_version": FORMAT_VERSION,
         "width": doc.width,
         "height": doc.height,
@@ -143,54 +136,18 @@ def write_spline(path: str, doc: SplineDocument) -> None:
             }
             for spline in doc.splines
         ],
-    }
-    try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-    except ValueError as exc:
-        raise FormatError(f"document contains non-finite numbers: {exc}") from exc
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
-
-
-def _reject_constant(value: str):
-    raise FormatError(f"non-finite number {value!r} in document")
+    })
 
 
 def read_spline(path: str) -> SplineDocument:
     """Read and validate a document written by ``write_spline``."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise FormatError(f"cannot read spline document: {exc}",
-                          path=str(path)) from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad JSON, bad ASCII, over-long integers and the
-        # non-finite constants; RecursionError, nesting too deep to parse
-        raise FormatError(f"not valid JSON: {exc}", path=str(path)) from exc
-
-    def fail(field_name: str, message: str) -> FormatError:
-        return FormatError(f"{field_name}: {message}", path=str(path))
-
-    if not isinstance(payload, dict):
-        raise fail("document", "expected a JSON object")
-    if "format_version" not in payload:
-        raise fail("format_version", "missing field")
+    payload, fail = _load_json(path, "spline document",
+                               ("format_version", "width", "height", "contours"))
     if payload["format_version"] != FORMAT_VERSION:
         raise fail("format_version",
                    f"unsupported version {payload['format_version']!r}")
-    for key in ("width", "height", "contours"):
-        if key not in payload:
-            raise fail(key, "missing field")
-
-    def integer(value, where, least) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise fail(where, f"expected an integer >= {least}, got {value!r}")
-        return value
-
-    width = integer(payload["width"], "width", 1)
-    height = integer(payload["height"], "height", 1)
+    width = _integer(payload["width"], "width", 1, fail)
+    height = _integer(payload["height"], "height", 1, fail)
     if not isinstance(payload["contours"], list):
         raise fail("contours", "expected a list")
 
@@ -228,7 +185,7 @@ def read_spline(path: str) -> SplineDocument:
             span = seg.get("span")
             if not isinstance(span, list) or len(span) != 2:
                 raise fail(f"{sw}.span", "expected an [start, end] index pair")
-            span = [integer(v, f"{sw}.span[{k}]", 0)
+            span = [_integer(v, f"{sw}.span[{k}]", 0, fail)
                     for k, v in enumerate(span)]
             flags = seg.get("flags")
             if (not isinstance(flags, list)
@@ -245,17 +202,17 @@ def read_spline(path: str) -> SplineDocument:
             raise fail("report", "expected an object")
         try:
             report = FitReport(
-                n_points=integer(rep["n_points"], "report.n_points", 0),
-                n_segments=integer(rep["n_segments"], "report.n_segments", 0),
+                n_points=_integer(rep["n_points"], "report.n_points", 0, fail),
+                n_segments=_integer(rep["n_segments"], "report.n_segments", 0,
+                                    fail),
                 max_dev=number(rep["max_dev"], "report.max_dev"),
                 avg_error=number(rep["avg_error"], "report.avg_error"),
                 compression_ratio=number(rep["compression_ratio"],
                                          "report.compression_ratio"),
-                wall_time=None,
             )
         except KeyError as exc:
             raise fail("report", f"missing field {exc}") from exc
-    config = payload.get("config") or {}
-    if not isinstance(config, dict):
+    config = payload.get("config")
+    if not isinstance(config, (dict, type(None))):
         raise fail("config", "expected an object")
-    return SplineDocument(width, height, splines, report, config)
+    return SplineDocument(width, height, splines, report, config or {})

@@ -79,15 +79,13 @@ class CandidatePair:
 class CandidateSpread:
     """Candidate cloud with its dispersion statistics.
 
-    Means and per-coordinate population variances are kept for both control
-    points; each radius is the largest candidate distance from its mean.
+    Means are kept for both control points; each radius is the largest
+    candidate distance from its mean.
     """
 
     candidates: list[CandidatePair]
     mean1: Point2 = Point2(0.0, 0.0)
     mean2: Point2 = Point2(0.0, 0.0)
-    var1: Point2 = Point2(0.0, 0.0)
-    var2: Point2 = Point2(0.0, 0.0)
     radius1: float = 0.0
     radius2: float = 0.0
 
@@ -100,14 +98,10 @@ class CandidateSpread:
         m1y = math.fsum(c.p1.y for c in candidates) / n
         m2x = math.fsum(c.p2.x for c in candidates) / n
         m2y = math.fsum(c.p2.y for c in candidates) / n
-        v1x = math.fsum((c.p1.x - m1x) ** 2 for c in candidates) / n
-        v1y = math.fsum((c.p1.y - m1y) ** 2 for c in candidates) / n
-        v2x = math.fsum((c.p2.x - m2x) ** 2 for c in candidates) / n
-        v2y = math.fsum((c.p2.y - m2y) ** 2 for c in candidates) / n
         r1 = max(math.hypot(c.p1.x - m1x, c.p1.y - m1y) for c in candidates)
         r2 = max(math.hypot(c.p2.x - m2x, c.p2.y - m2y) for c in candidates)
         return cls(list(candidates), Point2(m1x, m1y), Point2(m2x, m2y),
-                   Point2(v1x, v1y), Point2(v2x, v2y), r1, r2)
+                   r1, r2)
 
 
 def parameterize(pts: list[Point2]) -> SegmentSamples:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,7 @@ from beziertrace.bezier_core import Point2
 from beziertrace.contour import Contour, RasterImage
 from beziertrace.corner_detect import CornerParams
 from beziertrace.errors import ConsistencyError, DomainError
+from beziertrace.metrics import FitReport
 from beziertrace.render_io import SplineDocument, write_spline
 from beziertrace.segment_fit import FitConfig
 
@@ -150,6 +152,10 @@ def test_metrics_matches_fit_report(tmp_path, rect_pbm, capsys):
     for key in ("n_points", "n_segments", "max_dev", "avg_error",
                 "compression_ratio"):
         assert metrics_report[key] == fit_report[key]
+    report_keys = {f.name for f in fields(FitReport)}
+    assert set(fit_report) == set(metrics_report) == report_keys
+    written = json.loads((tmp_path / "out.json").read_text())["report"]
+    assert set(written) == report_keys
 
 
 def test_metrics_mismatched_contour_is_just_bad(tmp_path, capsys):

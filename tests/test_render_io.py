@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from beziertrace.bezier_core import CubicBezier, Point2
-from beziertrace.contour import trace_boundaries
+from beziertrace.contour import read_contour, trace_boundaries
 from beziertrace.errors import DomainError, FormatError
 from beziertrace.metrics import FitReport
 from beziertrace.render_io import (SplineDocument, path_data, read_spline,
@@ -167,6 +167,67 @@ def test_read_spline_rejects_malformed_fields(tmp_path, fields):
     p.write_text('{"format_version": 1, "width": 4, "height": 4, "contours": [],'
                  ' "report": ' + _GOOD_REPORT + '}')
     assert read_spline(p).report.n_points == 4
+
+
+@pytest.mark.parametrize("config", ["false", "0", '""', "[]"])
+def test_read_spline_rejects_config_not_an_object(tmp_path, config):
+    p = tmp_path / "bad.json"
+    head = '{"format_version": 1, "width": 4, "height": 4, "contours": []'
+    p.write_text(head + ', "config": ' + config + '}')
+    with pytest.raises(FormatError) as err:
+        read_spline(p)
+    assert "config: expected an object" in str(err.value)
+    for absent in (head + '}', head + ', "config": null}'):
+        p.write_text(absent)
+        assert read_spline(p).config == {}
+
+
+def _document(head, width="4", tail=""):
+    return f'{{{head}"width":{width},"height":4,"contours":[]{tail}}}'.encode()
+
+
+# each case: the file's bytes from the reader's leading fields (None: no
+# file), and what the error must name
+_SHARED_READER_CASES = {
+    "unreadable": (None, "cannot read"),
+    "non-ascii": (lambda h: _document(h, tail=',"note":"\u00e9"'),
+                  "not valid JSON"),
+    "bad-json": (lambda h: _document(h)[:-1], "not valid JSON"),
+    "long-integer": (lambda h: _document(h, width="1" * 4301),
+                     "not valid JSON"),
+    "deep-nesting": (lambda h: _document(
+        h, tail=',"note":' + "[" * 100_000 + "]" * 100_000), "not valid JSON"),
+    "nan-ignored-field": (lambda h: _document(h, tail=',"note":NaN'),
+                          "non-finite number 'NaN'"),
+    "top-level-array": (lambda h: b"[" + _document(h) + b"]",
+                        "document: expected a JSON object"),
+    "missing-width": (lambda h: _document(h).replace(b'"width":4,', b""),
+                      "width: missing field"),
+    "width-true": (lambda h: _document(h, width="true"),
+                   "width: expected an integer >= 1, got True"),
+    "width-zero": (lambda h: _document(h, width="0"),
+                   "width: expected an integer >= 1, got 0"),
+    "width-negative": (lambda h: _document(h, width="-1"),
+                       "width: expected an integer >= 1, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_READER_CASES))
+@pytest.mark.parametrize("read, head", [(read_contour, ""),
+                                        (read_spline, '"format_version":1,')],
+                         ids=["contour", "spline"])
+def test_readers_share_json_rules(tmp_path, read, head, case):
+    make, named = _SHARED_READER_CASES[case]
+    path = tmp_path / "doc.json"
+    if make is not None:
+        path.write_bytes(make(head))
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert err.value.path == str(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert named in str(err.value)
+    path.write_bytes(_document(head))
+    assert read(path).width == 4  # the unbroken document reads
 
 
 def test_write_spline_rejects_nan(tmp_path):

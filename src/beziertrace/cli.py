@@ -1,13 +1,12 @@
 """Command-line pipeline: trace, corners, fit, metrics.
 
-Exit codes: 0 success, 1 usage error, 2 malformed input file,
+Exit codes: 0 success, 1 usage or system error, 2 malformed input file,
 3 numeric failure (degenerate or inconsistent geometry).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -106,9 +105,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated SVG debug layers: "
                         f"{','.join(DEBUG_LAYERS)} or 'all'")
     p.add_argument("--threads", type=_positive_int, default=None, metavar="N",
-                   help="worker processes over loops for fitting and "
-                        "measuring (default: the CPUs this process may "
-                        "run on)")
+                   help="processes over loops, this one included, for "
+                        "fitting and measuring (default: the CPUs this "
+                        "process may run on)")
     p.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
                    help="timing repeats; the reported time is the median "
                         "(default: 1)")
@@ -138,8 +137,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DomainError, OSError) as exc:
-        # bad parameter values and unwritable output paths are usage errors;
-        # the readers turn their own OSError into FormatError
+        # bad parameter values, unwritable output paths and dead workers
+        # exit 1; the readers turn their own OSError into FormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FormatError as exc:
@@ -227,37 +226,63 @@ def _parse_debug_layers(value: str):
     return layers
 
 
-def _fit_loop(contour, params, cfg):
-    """Fit one loop and measure its errors; the unit of work of a worker."""
-    spline, _ = fit_outline(contour, params, cfg)
-    return spline, spline_errors(contour, spline)
+def _fit_share(fittable, share, params, cfg):
+    """(index, (spline, errors)) per loop, or (index, exception) to end."""
+    rows = []
+    for i in sorted(share):
+        try:
+            spline, _ = fit_outline(fittable[i], params, cfg)
+            rows.append((i, (spline, spline_errors(fittable[i], spline))))
+        except Exception as exc:
+            return rows + [(i, exc)]
+    return rows
 
 
 def _fit_all(fittable, params, cfg, workers):
-    """Fit and measure every loop of fittable; returns (contour, spline,
-    errors) triples in input order.
+    """(contour, spline, errors) for every loop of fittable, in input order.
 
-    Loops are independent, so with more than one worker they go to a pool
-    of forked processes.  A forked worker starts without re-importing the
-    package, which a spawned one would do at about 0.13 s each.  The
-    executor forks every worker before it starts its own thread, and this
-    program starts no other, so no lock is held across the fork.  Where the
-    platform cannot fork, the loops run in this process.
-    """
-    run = functools.partial(_fit_loop, params=params, cfg=cfg)
-    rows = map(run, fittable)
-    workers = min(workers, len(fittable))
-    if workers > 1:
-        # imported here, as they add 10-20 ms to every start-up and only
-        # a pool needs them
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                rows = list(pool.map(run, fittable))
-    return [(contour, spline, errors)
-            for contour, (spline, errors) in zip(fittable, rows)]
+    Loops are dealt longest first (Graham's LPT order) to min(workers,
+    loops) shares.  This process fits share 0; a forked child per other
+    share (no thread runs, so no lock is held across the fork) pipes back
+    one pickle and ends in os._exit on every path.  Shares run in index
+    order to their first failure and a dead child fails at its first loop,
+    so the error raised is the first in input order."""
+    n = min(workers, len(fittable)) if hasattr(os, "fork") else 1
+    order = sorted(range(len(fittable)), key=lambda i: -fittable[i].n)
+    children, ends = [], []
+    try:
+        for share in (order[k::n] for k in range(1, n)):
+            import pickle  # only a fork needs it
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_fit_share(fittable, share, params, cfg), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((min(share), pid, open(read, "rb")))
+        rows = _fit_share(fittable, order[::n], params, cfg)
+    finally:  # every child is reaped before any result is unpickled
+        for first, pid, pipe in children:
+            with pipe:
+                ends.append((first, pid, pipe.read(), os.waitpid(pid, 0)[1]))
+    for first, pid, data, status in ends:
+        code = os.waitstatus_to_exitcode(status)
+        error = ChildProcessError(f"worker {pid} exited with status {code}")
+        rows += [(first, error)] if code else pickle.loads(data)
+    rows.sort(key=lambda row: row[0])
+    for _, row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return [(fittable[i], *row) for i, row in rows]
 
 
 def _available_cpus() -> int:
@@ -293,14 +318,12 @@ def cmd_fit(args) -> int:
     layers = _parse_debug_layers(args.debug_layers)
     workers = args.threads if args.threads else _available_cpus()
     fittable = [contour for _, contour in _long_enough(doc.contours, params)]
-
-    loops = []
+    if not fittable:
+        raise ConsistencyError("no loop could be fitted")
     times = []
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         loops = _fit_all(fittable, params, cfg, workers)
-        if not loops:
-            raise ConsistencyError("no loop could be fitted")
         report = report_from_errors(loops)
         times.append(time.perf_counter() - t0)
     report.wall_time = statistics.median(times)

@@ -362,20 +362,36 @@ def _integer(value, where: str, least: int, fail) -> int:
     return value
 
 
+# Coordinates are read into floats, which hold every integer up to 2**53.
+_EXACT_INT = 2 ** 53
+
+
+def _pixel_pairs(where: str, points, path) -> list:
+    """points as (x, y) pairs of ints, under the reader's rule: a coordinate
+    that is not an integral value within +-2**53 is a FormatError."""
+    pairs = []
+    for pi, (x, y) in enumerate(points):
+        if not (abs(x) <= _EXACT_INT and abs(y) <= _EXACT_INT
+                and x % 1 == 0 and y % 1 == 0):
+            raise FormatError(f"{where}.points[{pi}]: expected integral "
+                              f"coordinates within +-2**53, got {(x, y)!r}",
+                              path=str(path))
+        pairs.append((int(x), int(y)))
+    return pairs
+
+
 def write_contour(path: str, doc: ContourDocument) -> None:
-    """Write traced loops as a canonical JSON document."""
+    """Write traced loops as a canonical JSON document.  A coordinate the
+    reader would refuse is a FormatError before the file is opened."""
     _write_json(path, {
         "width": doc.width,
         "height": doc.height,
         "contours": [
-            {"closed": True, "points": [[int(p.x), int(p.y)] for p in c.points]}
-            for c in doc.contours
+            {"closed": True,
+             "points": _pixel_pairs(f"contours[{ci}]", c.points, path)}
+            for ci, c in enumerate(doc.contours)
         ],
     })
-
-
-# Coordinates are read into floats, which hold every integer up to 2**53.
-_EXACT_INT = 2 ** 53
 
 
 def read_contour(path: str) -> ContourDocument:

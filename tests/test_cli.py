@@ -2,8 +2,10 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import pytest
@@ -205,35 +207,192 @@ def test_fit_identical_across_worker_counts(stars_contours, tmp_path, capsys):
     assert all(out == outs[0] for out in outs[1:])
 
 
-def test_worker_error_exit_code(stars_contours, tmp_path, monkeypatch,
-                                capsys):
-    # forked workers inherit the patched binding
-    def failing(contour, params, cfg):
-        raise ConsistencyError(f"failed in process {os.getpid()}")
-
-    monkeypatch.setattr(cli, "fit_outline", failing)
-    errors = []
-    for workers in ("1", "2"):
-        assert main(["fit", str(stars_contours), "-o", str(tmp_path / "e"),
-                     "--threads", workers]) == 3
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == f"error: failed in process {os.getpid()}\n"
-    # the second error was raised in a worker process, not in this one
-    assert errors[1].startswith("error: failed in process ")
-    assert errors[1] != errors[0]
+def test_fit_without_fork_fits_every_loop_here(stars_contours, tmp_path,
+                                               monkeypatch, capsys):
+    assert main(["fit", str(stars_contours), "-o", str(tmp_path / "a"),
+                 "--threads", "1"]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(["fit", str(stars_contours), "-o", str(tmp_path / "b"),
+                 "--threads", "2"]) == 0
+    for suffix in (".svg", ".json"):
+        assert ((tmp_path / ("a" + suffix)).read_bytes()
+                == (tmp_path / ("b" + suffix)).read_bytes())
 
 
-def test_cli_import_leaves_pool_modules_unloaded():
-    # the pool modules are imported when a pool starts, not at start-up
+def _squares(tmp_path, sides):
+    """Contour file with one square loop per side length, in that order."""
+    loops = []
+    for k, side in enumerate(sides):
+        x0, last = 40 * k, side - 1
+        ring = ([(x0 + t, 0) for t in range(last)]
+                + [(x0 + last, t) for t in range(last)]
+                + [(x0 + last - t, last) for t in range(last)]
+                + [(x0, last - t) for t in range(last)])
+        loops.append(Contour([Point2(float(x), float(y)) for x, y in ring]))
+    path = tmp_path / "squares.json"
+    write_contour(path, ContourDocument(40 * len(sides), max(sides), loops))
+    return path
+
+
+def _python(code):
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(beziertrace.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, beziertrace.cli; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert proc.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+
+
+def test_worker_error_exit_code(stars_contours, tmp_path, monkeypatch,
+                                capsys):
+    # forked workers inherit the patched binding; this process fits a share
+    # too, so only the loops fitted in another process fail
+    parent, fit_outline = os.getpid(), cli.fit_outline
+
+    def failing(contour, params, cfg):
+        if os.getpid() != parent:
+            raise ConsistencyError(f"failed in process {os.getpid()}")
+        return fit_outline(contour, params, cfg)
+
+    monkeypatch.setattr(cli, "fit_outline", failing)
+    assert main(["fit", str(stars_contours), "-o", str(tmp_path / "e"),
+                 "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(stars_contours), "-o", str(tmp_path / "e2"),
+                 "--threads", "2"]) == 3
+    error = capsys.readouterr().err
+    # the error was raised in a worker process, not in this one
+    assert error.startswith("error: failed in process ")
+    assert error != f"error: failed in process {parent}\n"
+
+
+def test_fit_error_is_first_loop_at_any_worker_count(tmp_path, monkeypatch,
+                                                     capsys):
+    # loop 0 is the shortest, so it is dealt last; every loop fails, and the
+    # error is loop 0's at any worker count, as with one worker
+    contours = _squares(tmp_path, (12, 20, 16, 24, 14))
+
+    def failing(contour, params, cfg):
+        raise ConsistencyError(f"loop at {tuple(contour.points[0])}")
+
+    monkeypatch.setattr(cli, "fit_outline", failing)
+    for workers in ("1", "2", "3", "8"):
+        assert main(["fit", str(contours), "-o", str(tmp_path / "e"),
+                     "--threads", workers]) == 3
+        assert capsys.readouterr().err == "error: loop at (0.0, 0.0)\n"
+
+
+def test_fit_reports_a_worker_that_dies(tmp_path):
+    # the child ends before it sends its rows; fit returns, writes nothing
+    # and names the child's exit status
+    contours, base = _squares(tmp_path, (12, 20, 16)), tmp_path / "out"
+    proc = _python(
+        "import os, sys\n"
+        "from beziertrace import cli\n"
+        "parent, fit_outline = os.getpid(), cli.fit_outline\n"
+        "def dying(contour, params, cfg):\n"
+        "    if os.getpid() != parent:\n"
+        "        os._exit(1)\n"
+        "    return fit_outline(contour, params, cfg)\n"
+        "cli.fit_outline = dying\n"
+        f"sys.exit(cli.main(['fit', {str(contours)!r}, '-o', {str(base)!r}, "
+        "'--threads', '2']))\n")
+    assert proc.returncode != 0
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert re.fullmatch(r"error: worker \d+ exited with status 1", errors[0])
+    assert not (tmp_path / "out.svg").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Pids of the children fit forks; each fork must find no other thread
+    running, and the fork numbered by fail_at (from 1) fails instead."""
+    fork, pids, state = os.fork, [], {"fail_at": None}
+
+    def recording_fork():
+        assert threading.active_count() == 1
+        if len(pids) + 1 == state["fail_at"]:
+            raise BlockingIOError(11, "fork refused by the test")
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids, state
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_fit_forks_a_child_per_other_share(tmp_path, forks, capsys):
+    # three workers over five loops: this process fits one share and forks
+    # two children, with no other thread running, and reaps both
+    pids, _ = forks
+    contours = _squares(tmp_path, (12, 20, 16, 24, 14))
+    assert main(["fit", str(contours), "-o", str(tmp_path / "out"),
+                 "--threads", "3"]) == 0
+    assert len(pids) == 2
+    assert all(_reaped(pid) for pid in pids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="open descriptors are listed from /proc")
+def test_fit_closes_every_pipe_when_a_fork_fails(tmp_path, forks, capsys):
+    # the second fork fails: its pipe is closed, the first child is reaped
+    # and the failure is an error exit, with nothing written
+    pids, state = forks
+    contours = _squares(tmp_path, (12, 20, 16, 24, 14))
+    state["fail_at"] = 2
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert main(["fit", str(contours), "-o", str(tmp_path / "out"),
+                 "--threads", "3"]) == 1
+    assert (capsys.readouterr().err
+            == "error: [Errno 11] fork refused by the test\n")
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(pids) == 1 and _reaped(pids[0])
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_fit_reaps_every_child_before_unpickling(tmp_path, forks,
+                                                 monkeypatch):
+    # the children inherit a pickle.dump that sends bytes pickle cannot
+    # read; both children are reaped before the first result fails to load
+    import pickle
+
+    pids, _ = forks
+    contours = _squares(tmp_path, (12, 20, 16, 24, 14))
+    monkeypatch.setattr(pickle, "dump", lambda rows, pipe: pipe.write(b"?"))
+    with pytest.raises(pickle.UnpicklingError):
+        main(["fit", str(contours), "-o", str(tmp_path / "out"),
+              "--threads", "3"])
+    assert len(pids) == 2
+    assert all(_reaped(pid) for pid in pids)
+
+
+def test_cli_import_leaves_pool_modules_unloaded(tmp_path):
+    # no pool module is imported at start-up or by a fit over two workers,
+    # and pickle only when a worker is forked
+    contours = _squares(tmp_path, (12, 20, 16))
+    proc = _python(
+        "import sys, beziertrace.cli\n"
+        "def loaded(names):\n"
+        "    return sorted(m for m in names if m in sys.modules)\n"
+        "print(loaded(('multiprocessing', 'concurrent.futures', 'pickle')))\n"
+        f"code = beziertrace.cli.main(['fit', {str(contours)!r}, '-o', "
+        f"{str(tmp_path / 'out')!r}, '--threads', '2'])\n"
+        "print(code, loaded(('multiprocessing', 'concurrent.futures')))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_default_workers_are_the_usable_cpus(monkeypatch):

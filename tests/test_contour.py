@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from beziertrace.contour import (ContourDocument, RasterImage, load_image,
-                                 read_contour, trace_boundaries,
+from beziertrace.contour import (Contour, ContourDocument, RasterImage,
+                                 load_image, read_contour, trace_boundaries,
                                  write_contour)
 from beziertrace.bezier_core import Point2
 from beziertrace.errors import FormatError
@@ -289,6 +289,24 @@ def test_contour_rejects_coords_floats_cannot_hold(tmp_path, x):
     with pytest.raises(FormatError) as err:
         read_contour(path)
     assert "2**53" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [0.6, float("nan"), float("inf"),
+                                 float(2 ** 60)])
+def test_write_contour_refuses_what_the_reader_refuses(tmp_path, bad):
+    # the reader's rule: integral values within +-2**53; the error names
+    # the point and comes before the file is opened
+    square = Contour([Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(1.0, 1.0),
+                      Point2(0.0, 1.0)])
+    for point in (Point2(bad, 0.0), Point2(1.0, bad)):
+        odd = Contour([Point2(0.0, 0.0), point, Point2(1.0, 1.0),
+                       Point2(0.0, 1.0)])
+        path = tmp_path / "bad.json"
+        with pytest.raises(FormatError) as err:
+            write_contour(path, ContourDocument(8, 8, [square, odd]))
+        assert "contours[1].points[1]" in str(err.value)
+        assert "2**53" in str(err.value)
+        assert not path.exists()
 
 
 def test_contour_rejects_missing_field(tmp_path):

@@ -55,13 +55,19 @@ def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]
 # by the triangle-inequality bound is strictly farther than the best one.
 _PAD_REL = 1.0 + 1e-9
 _PAD_ABS = 1e-12
-# A skipped sample is at most twice as far as the sample that skips it; below
-# this squared distance its own cannot overflow, which makes ** raise in a
-# full scan, so no sample is skipped from farther out.
-_SKIP_MAX_D2 = 1e300
 # Below this size in every coordinate, a point and a curve point differ by
 # less than 2e153 per axis, whose square cannot overflow.
 _SQUARE_SAFE = 1e153
+
+
+def _check_range(pts, c: CubicBezier) -> None:
+    """DomainError unless every coordinate of pts and c is finite and below
+    _SQUARE_SAFE in size, the precondition of every distance below."""
+    lim = _SQUARE_SAFE
+    for x, y in (*c, *pts):
+        if not (-lim < x < lim and -lim < y < lim):
+            raise DomainError(f"coordinate ({x!r}, {y!r}) is not finite or "
+                              "not below 1e153 in size")
 
 
 def _sample_gap(xs: list[float], ys: list[float]) -> float:
@@ -83,7 +89,6 @@ def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
     """
     sqrt = math.sqrt
     n = len(xs) - 1
-    # a NaN at sample 0 keeps index 0, as a full scan does
     best_i = 0
     best = (xs[0] - px) ** 2 + (ys[0] - py) ** 2
     d2 = (xs[seed] - px) ** 2 + (ys[seed] - py) ** 2
@@ -99,7 +104,7 @@ def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
             i += 1
             continue
         skip = (sqrt(d2) - reach) / gap
-        i += 1 + int(skip) if d2 < _SKIP_MAX_D2 and skip >= 1.0 else 1
+        i += 1 + int(skip) if skip >= 1.0 else 1
     return best_i, best
 
 
@@ -213,17 +218,14 @@ def _newton_refine(c: CubicBezier, n: int, px: float, py: float,
     a third of f'' at the sample.  Then f'' varies less than twofold over
     the intervals, which hold a single minimum that both refines find, and
     each Newton step moves nearer to it.  Elsewhere (near a cusp, a nearly
-    stationary end, a point on the evolute, or where a value is NaN) the
-    intervals go to _refine, starting from the best distance seen.
+    stationary end or a point on the evolute) the intervals go to _refine,
+    starting from the best distance seen.
 
     Two refines serve two contracts.  The split search (curve_distances,
     farthest) keeps the golden section alone, so that the fitted geometry
     breaks near-ties exactly as before; the report (spline_errors) uses
     this one, which finds the same minimum to ~1e-11 px in two or three
-    steps instead of ~47.  Squares are taken with ** so that an offset past
-    the float range raises OverflowError, as in _refine; as Newton's
-    iterates are not the golden section's probes, a curve point beyond
-    1e154 between two finite samples can raise in one and not the other.
+    steps instead of ~47.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # T = B'/3 = vv*d0 + 2uv*d1 + uu*d2, E = B''/6 = v*e0 + u*e1 and
@@ -293,8 +295,10 @@ def curve_distances(pts: list[Point2], c: CubicBezier,
     golden section over the two neighbouring grid intervals (_refine).
     farthest finds the largest of these distances without refining them all.
     These are the distances the split search uses; the report measures with
-    the Newton refine instead (see spline_errors).
+    the Newton refine instead (see spline_errors).  A coordinate that is not
+    finite or not below 1e153 in size is a DomainError (_check_range).
     """
+    _check_range(pts, c)
     n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
     xs, ys = _curve_table(c, n)
     sqrt = math.sqrt
@@ -302,21 +306,13 @@ def curve_distances(pts: list[Point2], c: CubicBezier,
             for (px, py), (i, d2) in zip(pts, _nearest_samples(pts, xs, ys))]
 
 
-def _squares_fit(pts, c: CubicBezier) -> bool:
-    """True when every coordinate is finite and below _SQUARE_SAFE in size,
-    so that no squared offset between a point and the curve can overflow."""
-    lim = _SQUARE_SAFE
-    return (all(-lim < v < lim for p in c for v in p)
-            and all(-lim < v < lim for p in pts for v in p))
-
-
 def farthest(pts: list[Point2], c: CubicBezier, lo: int,
              hi: int) -> tuple[int, float]:
     """First index of the largest distance in pts[lo:hi], and that distance.
 
     Bit for bit the max(range(lo, hi), key=...) of curve_distances(pts, c)
-    and that value (ties to the first index; a NaN at lo wins, later NaNs
-    lose), and it raises where that call raises; needs lo < hi.
+    and that value (ties to the first index), with the same DomainError;
+    needs lo < hi.
 
     A point's refined distance is never above g, its nearest-sample
     distance, and g is never above sqrt(ub), the distance of any sample.
@@ -328,13 +324,7 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     g is refined to d, only points with g >= d are refined.  When every
     distance ties near the top, that is every point, as in the full pass.
     """
-    if not _squares_fit(pts, c):
-        # a square may overflow: take the full pass, so that OverflowError
-        # is raised exactly where it raises
-        dists = curve_distances(pts, c)
-        best_i = max(range(lo, hi), key=dists.__getitem__)
-        return best_i, dists[best_i]
-
+    _check_range(pts, c)
     n = max(256, 4 * len(pts))
     xs, ys = _curve_table(c, n)
     sqrt = math.sqrt
@@ -360,9 +350,9 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     return best_i, dists[best_i]
 
 
-def point_deviation(p: Point2, c: CubicBezier, samples: int = 256) -> float:
+def point_deviation(p: Point2, c: CubicBezier) -> float:
     """Minimum distance from p to the curve (sampling plus refinement)."""
-    return curve_distances([p], c, samples=max(256, samples))[0]
+    return curve_distances([p], c)[0]
 
 
 def spline_errors(contour, spline) -> tuple[float, float]:
@@ -377,7 +367,8 @@ def spline_errors(contour, spline) -> tuple[float, float]:
     curve_distances uses, max(256, 4 * m) for a segment over m points, and
     is refined by Newton's method (_newton_refine), not by golden section:
     the two agree to ~1e-11 px, and Newton takes a few steps where the
-    golden section takes ~47.
+    golden section takes ~47.  Each segment's points and curve are held to
+    curve_distances' range (_check_range).
     """
     n = contour.n
     sqrt = math.sqrt
@@ -399,6 +390,7 @@ def spline_errors(contour, spline) -> tuple[float, float]:
         owner_count += len(indices)
         pts = [contour.points[idx] for idx in indices]
         c = seg.curve
+        _check_range(pts, c)
         samples = max(256, 4 * m)
         xs, ys = _curve_table(c, samples)
         for (px, py), (i, d2) in zip(pts, _nearest_samples(pts, xs, ys)):

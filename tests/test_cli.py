@@ -460,6 +460,24 @@ def test_metrics_span_past_loop_is_numeric_error(tmp_path, rect_pbm, capsys):
     assert "outside a loop" in capsys.readouterr().err
 
 
+def test_metrics_huge_control_point_is_domain_error(tmp_path, rect_pbm,
+                                                    capsys):
+    # squared offsets from a control point at 1e200 pass the float range;
+    # the distance layer refuses it as a DomainError instead of crashing
+    contours = _trace(tmp_path, rect_pbm)
+    base = tmp_path / "out"
+    assert main(["fit", str(contours), "-o", str(base), "--format", "json"]) == 0
+    spline = tmp_path / "out.json"
+    doc = json.loads(spline.read_text())
+    doc["contours"][0]["segments"][0]["controls"][1] = [1e200, 5.0]
+    spline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["metrics", str(contours), str(spline)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1e+200" in err and "Traceback" not in err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     # a single valid loop too short to carry the default support chord
     img = filled_rect_image(8, 8, 3, 3, 4, 4)

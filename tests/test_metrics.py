@@ -11,8 +11,9 @@ from beziertrace.contour import Contour, trace_boundaries
 from beziertrace.errors import ConsistencyError, DomainError
 from beziertrace.metrics import (compression_ratio, curve_distances, farthest,
                                  fit_report, point_deviation, spline_errors)
-from beziertrace.segment_fit import chord_fit
-from beziertrace.subdivision import FittedSegment, Spline, fit_outline
+from beziertrace.segment_fit import FitConfig, chord_fit
+from beziertrace.subdivision import (FittedSegment, Spline, fit_outline,
+                                     split_point)
 
 from _reference import reference_curve_distances
 from helpers import chord_aligned_cubic, filled_rect_image, uniform_samples
@@ -103,20 +104,18 @@ def _oracle_cases():
                        Point2(1536, 0))
     cases.append((line, [Point2(6 * i + 3, 0) for i in range(100, 160)]))
     cases.append((line, [Point2(6 * i + 3, 2) for i in range(0, 255, 7)]))
-    # the offset of some samples squares past the float range, which makes
-    # the full scan raise OverflowError; no skip may step over them
-    e = 1e153
-    huge = CubicBezier(Point2(12 * e, -3 * e), Point2(9 * e, 13 * e),
-                       Point2(-2 * e, -14 * e), Point2(-7 * e, 15 * e))
-    cases.append((huge, [Point2(7, 6)]))
+    # near the range bound: squared distances reach ~1e306, and the sweep
+    # still skips samples
+    cases.append((_huge_curve(1 / 20), [Point2(7 + i, 6) for i in range(20)]
+                  + [Point2(1.5e152, 1e152)]))
     return cases
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except OverflowError:
-        return OverflowError
+def _huge_curve(scale=1.0):
+    """A cubic whose controls reach 15e153 times scale."""
+    e = 1e153 * scale
+    return CubicBezier(Point2(12 * e, -3 * e), Point2(9 * e, 13 * e),
+                       Point2(-2 * e, -14 * e), Point2(-7 * e, 15 * e))
 
 
 def test_curve_distances_match_full_scan_oracle():
@@ -126,8 +125,8 @@ def test_curve_distances_match_full_scan_oracle():
         rng.shuffle(shuffled)
         for order in (pts, pts[::-1], shuffled):
             for samples in (1, 2, 7, None):
-                got = _outcome(curve_distances, order, c, samples)
-                want = _outcome(reference_curve_distances, order, c, samples)
+                got = curve_distances(order, c, samples)
+                want = reference_curve_distances(order, c, samples)
                 assert got == want, (c, samples)
 
 
@@ -143,9 +142,8 @@ def test_farthest_matches_full_pass():
         for order in (pts, pts[::-1]):
             for lo, hi in {(0, m), (m // 3, max(m // 3 + 1, m - m // 3)),
                            (m - 1, m)}:
-                want = _outcome(_full_pass_farthest, order, c, lo, hi)
-                # compared by repr, so that NaN distances count as equal
-                assert repr(_outcome(farthest, order, c, lo, hi)) \
+                want = _full_pass_farthest(order, c, lo, hi)
+                assert repr(farthest(order, c, lo, hi)) \
                     == repr(want), (c, lo, hi)
 
 
@@ -213,8 +211,9 @@ def test_farthest_sweeps_few_points_exactly(monkeypatch):
     assert got == _full_pass_farthest(pts, chord, 1, len(pts) - 1)
 
 
-def _non_finite_cases():
-    """(curve, points) pairs with NaN or infinite points or control points."""
+def _out_of_range_cases():
+    """(curve, points) pairs, each with a coordinate that is NaN, infinite,
+    or 1e153 or more in size, in a point or in a control point."""
     nan, inf = float("nan"), float("inf")
     c = CubicBezier(Point2(0, 0), Point2(10, 30), Point2(30, 30), Point2(40, 0))
     arch = [Point2(round(p.x), round(p.y) + 1) for p in uniform_samples(c, 30)]
@@ -226,25 +225,60 @@ def _non_finite_cases():
     for bad in (nan, inf, -inf):
         cases.append((CubicBezier(c.p0, Point2(bad, 30), c.p2, c.p3), arch))
         cases.append((CubicBezier(c.p0, c.p1, c.p2, Point2(40, bad)), arch))
-    return cases
-
-
-def _refine_overflow_case():
-    """A run whose nearest-sample search stays finite but whose point 3
-    overflows in the refine: the curve's top edge sits just under the float
-    square root, and the golden section's first probe, between the point's
-    nearest sample and the bulge, passes it.  The other points are at an
-    infinite squared distance, so a bound on distances alone skips point 3."""
+    # a semicircular arch over a straight chord, as the split search sees
+    # one, with a non-finite point (index 1 is the first interior one) or
+    # control point
+    r = 20.0
+    arch = [Point2(r - r * math.cos(math.pi * i / 29),
+                   r * math.sin(math.pi * i / 29)) for i in range(30)]
+    chord = chord_fit(arch[0], arch[-1])
+    for k, bad in ((1, nan), (5, nan), (14, inf), (14, -inf), (29, nan)):
+        pts = list(arch)
+        pts[k] = Point2(bad, pts[k].y)
+        cases.append((chord, pts))
+    for bad in (nan, inf):
+        cases.append((CubicBezier(arch[0], Point2(bad, 3.0), arch[20],
+                                  arch[-1]), arch))
+        cases.append((CubicBezier(arch[0], arch[10], arch[20],
+                                  Point2(40.0, bad)), arch))
+    # controls of 1e153 and more, and one point of exactly 1e153
+    cases.append((_huge_curve(), [Point2(7 + i, 6) for i in range(20)]))
+    line = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
+                       Point2(1536, 0))
+    cases.append((line, arch[:9] + [Point2(1e153, 0)] + arch[10:]))
+    # a curve whose top edge sits just under the float square root
     top, a, h = 1.3407801838936079e154, 1e152, 1e148
     c = CubicBezier(Point2(-a, top), Point2(-a / 3, top + h),
                     Point2(a / 3, top + 0.6 * h), Point2(a, top))
     pts = [Point2(5e153 - 1e152 * k, 0.0) for k in range(10)]
-    pts[3] = Point2(-1.1718749999999999e151, 0.0)  # x of grid sample 113
-    return c, pts
+    pts[3] = Point2(-1.1718749999999999e151, 0.0)
+    cases.append((c, pts))
+    return cases
+
+
+def _closed_by_one_point(c, pts):
+    """Contour and spline of a loop: pts on c, closed by a second segment
+    over one repeated point."""
+    m = len(pts)
+    return (Contour(list(pts) + [pts[-1]]),
+            Spline([FittedSegment(c, (0, m), []),
+                    FittedSegment(c, (m, 0), [])]))
+
+
+@pytest.mark.parametrize("c, pts", _out_of_range_cases())
+def test_distances_refuse_out_of_range_coordinates(c, pts):
+    with pytest.raises(DomainError):
+        curve_distances(pts, c)
+    with pytest.raises(DomainError):
+        farthest(pts, c, 0, len(pts))
+    with pytest.raises(DomainError):
+        spline_errors(*_closed_by_one_point(c, pts))
+    with pytest.raises(DomainError):
+        split_point(pts, c, FitConfig(min_segment_points=4))
 
 
 def _measured(monkeypatch, c, pts):
-    """Each distance spline_errors measures from pts to c, or OverflowError.
+    """Each distance spline_errors measures from pts to c.
 
     pts is the first segment of a loop closed by a second segment over one
     repeated point; the Newton refine is wrapped to record each result."""
@@ -257,48 +291,27 @@ def _measured(monkeypatch, c, pts):
         return d2
 
     monkeypatch.setattr(metrics, "_newton_refine", record)
-    m = len(pts)
-    spline = Spline([FittedSegment(c, (0, m), []),
-                     FittedSegment(c, (m, 0), [])])
-    try:
-        spline_errors(Contour(list(pts) + [pts[-1]]), spline)
-    except OverflowError:
-        return OverflowError
-    assert len(seen) == m + 1
-    return seen[:m]
+    spline_errors(*_closed_by_one_point(c, pts))
+    assert len(seen) == len(pts) + 1
+    return seen[:len(pts)]
 
 
 def _near(got, want, tol=1e-9):
-    """Same outcome: both OverflowError, or distances within tol with NaN
-    matching NaN and infinity matching itself."""
-    if got is OverflowError or want is OverflowError:
-        return got is want
+    """Same number of distances, each within tol, or within 1e-14 of the
+    distance where that is wider (past 1e5 px): near the range bound the
+    two refines round some ten units in the last place apart."""
     return len(got) == len(want) and all(
-        g == w or abs(g - w) <= tol or math.isnan(g) and math.isnan(w)
-        for g, w in zip(got, want))
+        g == w or abs(g - w) <= max(tol, 1e-14 * w) for g, w in zip(got, want))
 
 
 def test_spline_errors_distances_match_full_scan_oracle(monkeypatch):
     # includes the cusp, the self-crossing loop, four equal control points,
-    # the collinear half-sample cubic, non-finite inputs and the 1e153 curve
-    for c, pts in _oracle_cases() + _non_finite_cases():
+    # the collinear half-sample cubic and the curve near the range bound
+    for c, pts in _oracle_cases():
         for order in (pts, pts[::-1]):
             samples = max(256, 4 * (len(order) + 1))
-            want = _outcome(reference_curve_distances, order, c, samples)
+            want = reference_curve_distances(order, c, samples)
             assert _near(_measured(monkeypatch, c, order), want), (c, order)
-
-
-def test_spline_errors_refine_overflow_is_a_stated_difference(monkeypatch):
-    # The golden section probes a curve point whose offset squares past the
-    # float range, so the full scan raises; Newton's iterates stay nearer
-    # the point's own sample and measure it.  Only coordinates of 1e153 and
-    # more can get there (see _squares_fit).
-    c, pts = _refine_overflow_case()
-    samples = max(256, 4 * (len(pts) + 1))
-    assert _outcome(reference_curve_distances, pts, c, samples) \
-        is OverflowError
-    got = _measured(monkeypatch, c, pts)
-    assert got is not OverflowError and not any(map(math.isnan, got))
 
 
 def test_newton_refine_returns_the_smallest_distance_seen():

@@ -152,7 +152,17 @@ def main(argv=None) -> int:
 # -------------------------------- subcommands --------------------------------
 
 
+def _refuse_overwrite(source: str, outputs, what: str, pick: str) -> None:
+    """DomainError when one of the output paths is the input path, also
+    through a symbolic link."""
+    for out in outputs:
+        if os.path.realpath(out) == os.path.realpath(source):
+            raise DomainError(f"output {out} would overwrite the input {what}; "
+                              f"pick another {pick}")
+
+
 def cmd_trace(args) -> int:
+    _refuse_overwrite(args.image, [args.output], "image", "output path")
     img = load_image(args.image)
     contours = trace_boundaries(img)
     write_contour(args.output, ContourDocument(img.width, img.height, contours))
@@ -307,11 +317,9 @@ def _print_report(report: FitReport, as_json: bool) -> None:
 
 
 def cmd_fit(args) -> int:
-    for suffix in (".svg", ".json"):
-        if os.path.abspath(args.output + suffix) == os.path.abspath(args.contours):
-            raise DomainError(
-                f"output {args.output + suffix} would overwrite the input "
-                "contour file; pick another base path")
+    _refuse_overwrite(args.contours,
+                      [args.output + ".svg", args.output + ".json"],
+                      "contour file", "base path")
     doc = read_contour(args.contours)
     params = _corner_params(args)
     cfg = _fit_config(args)

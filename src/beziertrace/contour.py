@@ -129,7 +129,7 @@ class _Scanner:
                              offset=start) from None
 
 
-def load_image(path: str, format: str = "auto") -> RasterImage:
+def load_image(path: str) -> RasterImage:
     """Read a 1-bit portable bitmap (plain or raw); 1/black is the object."""
     try:
         with open(path, "rb") as fh:
@@ -141,11 +141,6 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
     magic = data[:2]
     if magic not in (b"P1", b"P4"):
         raise sc.error(f"not a portable bitmap (magic {magic!r})", offset=0)
-    kind = "plain" if magic == b"P1" else "raw"
-    if format not in ("auto", "plain", "raw"):
-        raise FormatError(f"unknown format hint {format!r}", path=str(path))
-    if format != "auto" and format != kind:
-        raise sc.error(f"expected a {format} bitmap but found {kind}", offset=0)
     sc.pos = 2
 
     width = sc.read_int("width")
@@ -153,7 +148,7 @@ def load_image(path: str, format: str = "auto") -> RasterImage:
     if width <= 0 or height <= 0:
         raise sc.error(f"bad dimensions {width}x{height}")
 
-    if kind == "plain":
+    if magic == b"P1":
         total = width * height
         # each pixel takes a byte at least, so a file too short for its
         # dimensions is rejected before the raster is allocated

@@ -150,48 +150,36 @@ def _refine(c: CubicBezier, n: int, px: float, py: float,
     evaluated in blend/evaluate's operation order.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+
+    def d2(u: float) -> float:
+        v = 1.0 - u
+        vv = v * v
+        uu = u * u
+        b0 = v * vv
+        b1 = 3.0 * u * vv
+        b2 = 3.0 * uu * v
+        b3 = u * uu
+        return ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
+                + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
+
     a = (best_i - 1) / n if best_i > 0 else 0.0
     b = (best_i + 1) / n if best_i < n else 1.0
     u1 = b - _INV_GOLDEN * (b - a)
     u2 = a + _INV_GOLDEN * (b - a)
-    ends = []
-    for u in (u1, u2):
-        v = 1.0 - u
-        vv = v * v
-        uu = u * u
-        b0 = v * vv
-        b1 = 3.0 * u * vv
-        b2 = 3.0 * uu * v
-        b3 = u * uu
-        f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
-             + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
-        ends.append(f)
-        if f < best:
-            best = f
-    f1, f2 = ends
+    f1 = d2(u1)
+    f2 = d2(u2)
+    best = min(best, f1, f2)
     for _ in range(60):
         if b - a < 1e-12:
             break
-        left = f1 <= f2
-        if left:
+        if f1 <= f2:
             b, u2, f2 = u2, u1, f1
-            u = u1 = b - _INV_GOLDEN * (b - a)
+            u1 = b - _INV_GOLDEN * (b - a)
+            f = f1 = d2(u1)
         else:
             a, u1, f1 = u1, u2, f2
-            u = u2 = a + _INV_GOLDEN * (b - a)
-        v = 1.0 - u
-        vv = v * v
-        uu = u * u
-        b0 = v * vv
-        b1 = 3.0 * u * vv
-        b2 = 3.0 * uu * v
-        b3 = u * uu
-        f = ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
-             + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
-        if left:
-            f1 = f
-        else:
-            f2 = f
+            u2 = a + _INV_GOLDEN * (b - a)
+            f = f2 = d2(u2)
         if f < best:
             best = f
     return best
@@ -221,11 +209,11 @@ def _newton_refine(c: CubicBezier, n: int, px: float, py: float,
     stationary end or a point on the evolute) the intervals go to _refine,
     starting from the best distance seen.
 
-    Two refines serve two contracts.  The split search (curve_distances,
-    farthest) keeps the golden section alone, so that the fitted geometry
-    breaks near-ties exactly as before; the report (spline_errors) uses
-    this one, which finds the same minimum to ~1e-11 px in two or three
-    steps instead of ~47.
+    Two refines serve two contracts.  The split search (farthest, which
+    keeps curve_distances' definition) keeps the golden section alone, so
+    that the fitted geometry breaks near-ties exactly as before; the report
+    (spline_errors) uses this one, which finds the same minimum to ~1e-11
+    px in two or three steps instead of ~47.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # T = B'/3 = vv*d0 + 2uv*d1 + uu*d2, E = B''/6 = v*e0 + u*e1 and
@@ -293,10 +281,11 @@ def curve_distances(pts: list[Point2], c: CubicBezier,
     explicit count is given. Each point takes the first grid sample with
     the smallest squared distance (_nearest_samples) and refines it by
     golden section over the two neighbouring grid intervals (_refine).
-    farthest finds the largest of these distances without refining them all.
-    These are the distances the split search uses; the report measures with
-    the Newton refine instead (see spline_errors).  A coordinate that is not
-    finite or not below 1e153 in size is a DomainError (_check_range).
+    This is the definition the split search keeps: no fit path calls it, as
+    farthest finds the largest of these distances bit for bit without
+    refining them all.  The report measures with the Newton refine instead
+    (see spline_errors).  A coordinate that is not finite or not below 1e153
+    in size is a DomainError (_check_range).
     """
     _check_range(pts, c)
     n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
@@ -312,7 +301,8 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
 
     Bit for bit the max(range(lo, hi), key=...) of curve_distances(pts, c)
     and that value (ties to the first index), with the same DomainError;
-    needs lo < hi.
+    needs lo < hi.  This is the whole split search: the split point, and
+    with max_error set also the test of that distance against the bound.
 
     A point's refined distance is never above g, its nearest-sample
     distance, and g is never above sqrt(ub), the distance of any sample.

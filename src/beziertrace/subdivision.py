@@ -8,6 +8,8 @@ from .bezier_core import CubicBezier
 from .contour import Contour
 from .corner_detect import (CornerParams, CornerSet, detect_corners,
                             range_points, segment_boundaries)
+# curve_distances is not called here; it stays bound because the traced
+# benchmark wraps subdivision.curve_distances (perfbench/spans.py)
 from .metrics import curve_distances, farthest
 from .segment_fit import CandidateSpread, FitConfig, fit_segment
 
@@ -46,22 +48,19 @@ def needs_subdivision(sp: CandidateSpread, cfg: FitConfig) -> bool:
 
 
 def split_point(pts, fitted: CubicBezier, cfg: FitConfig,
-                dists: list[float] | None = None) -> int | None:
+                worst: tuple[int, float] | None = None) -> int | None:
     """Index of the interior point farthest from the fitted curve.
 
     Ties go to the smaller index and the result is clamped so both halves
     keep at least min_segment_points points; None when the run is too short
-    to split at all.  dists, when given, is curve_distances(pts, fitted)
-    already computed by the caller; otherwise farthest finds the point,
-    refining only the few distances that can be the largest.
+    to split at all.  worst, when given, is farthest(pts, fitted, 1,
+    len(pts) - 1) already found by the caller; otherwise farthest finds it
+    here, refining only the few distances that can be the largest.
     """
     msp = cfg.min_segment_points
     if len(pts) < 2 * msp:
         return None
-    if dists is None:
-        best_i = farthest(pts, fitted, 1, len(pts) - 1)[0]
-    else:
-        best_i = max(range(1, len(pts) - 1), key=dists.__getitem__)
+    best_i = (worst or farthest(pts, fitted, 1, len(pts) - 1))[0]
     return min(max(best_i, msp - 1), len(pts) - msp)
 
 
@@ -81,14 +80,15 @@ def _fit_into(pts, offset, cfg, depth, out) -> None:
     curve, spread = fit_segment(pts, cfg)
     fallback = not spread.candidates
     wants_split = False
-    dists = None
+    worst = None
     if not fallback:
         wants_split = needs_subdivision(spread, cfg)
         if not wants_split and cfg.max_error is not None:
-            dists = curve_distances(pts, curve)
-            wants_split = max(dists) > cfg.max_error
+            # ends are pinned (distance 0.0); candidate runs have >= 4 points
+            worst = farthest(pts, curve, 1, len(pts) - 1)
+            wants_split = worst[1] > cfg.max_error
     if wants_split and depth < MAX_SPLIT_DEPTH:
-        idx = split_point(pts, curve, cfg, dists)
+        idx = split_point(pts, curve, cfg, worst)
         if idx is not None:
             _fit_into(pts[:idx + 1], offset, cfg, depth + 1, out)
             _fit_into(pts[idx:], offset + idx, cfg, depth + 1, out)

@@ -529,6 +529,26 @@ def test_fit_refuses_to_overwrite_input(tmp_path, rect_pbm, capsys):
     assert "overwrite" in capsys.readouterr().err
 
 
+def test_trace_refuses_to_overwrite_input(tmp_path, rect_pbm, capsys,
+                                          monkeypatch):
+    before = rect_pbm.read_bytes()
+
+    def no_read(path):
+        raise AssertionError("the image was read")
+
+    monkeypatch.setattr(cli, "load_image", no_read)
+    same = tmp_path / "sub" / ".." / rect_pbm.name
+    link = tmp_path / "link.pbm"
+    link.symlink_to(rect_pbm)
+    for out in (rect_pbm, same, link):
+        capsys.readouterr()
+        assert main(["trace", str(rect_pbm), "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "would overwrite the input image" in err[0]
+    assert rect_pbm.read_bytes() == before
+
+
 def test_fit_repeat_flag(tmp_path, rect_pbm, capsys):
     contours = _trace(tmp_path, rect_pbm)
     capsys.readouterr()

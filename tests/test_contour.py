@@ -70,14 +70,6 @@ def test_trailing_garbage(tmp_path):
         load_image(p)
 
 
-def test_format_hint_mismatch(tmp_path):
-    p = tmp_path / "m.pbm"
-    p.write_bytes(b"P1\n1 1\n1\n")
-    assert load_image(p, format="plain").bits == bytearray([1])
-    with pytest.raises(FormatError):
-        load_image(p, format="raw")
-
-
 def test_missing_file():
     with pytest.raises(FormatError) as err:
         load_image("/nonexistent/image.pbm")

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,16 +9,17 @@ import beziertrace.subdivision as subdivision
 from beziertrace.bezier_core import CubicBezier, Point2
 from beziertrace.contour import trace_boundaries
 from beziertrace.corner_detect import CornerParams, detect_corners
+from beziertrace.errors import DegenerateSegmentError
 from beziertrace.metrics import curve_distances, spline_errors
 from beziertrace.segment_fit import (CandidatePair, CandidateSpread, FitConfig,
-                                     chord_fit)
+                                     chord_fit, fit_segment)
 from beziertrace.subdivision import (FLAG_CORNER, FLAG_DEPTH_CAPPED,
                                      FLAG_FALLBACK, FLAG_SUBDIVIDED,
                                      assemble_spline, fit_outline,
                                      fit_recursive, needs_subdivision,
                                      split_point)
 
-from _reference import reference_split_point
+from _reference import reference_curve_distances, reference_split_point
 from helpers import (chord_aligned_cubic, circle_image, filled_rect_image,
                      uniform_samples)
 from test_metrics import _oracle_cases
@@ -206,29 +208,99 @@ def test_max_error_trigger():
 
 
 def test_max_error_split_measures_each_piece_once(monkeypatch):
-    # every piece fitted from candidates gets one distance pass, which the
-    # max-error test and the split point share
+    # every piece fitted from candidates gets one farthest call, which the
+    # max-error test and the split point share; no fit path takes the full
+    # distance pass
     curve = chord_aligned_cubic(Point2(0, 0), Point2(120, 0), 9.0, 9.0)
     pts = [Point2(p.x, round(p.y * 2) / 2) for p in uniform_samples(curve, 80)]
     fit_segment = subdivision.fit_segment
-    curve_distances = subdivision.curve_distances
+    farthest = subdivision.farthest
     fitted = []    # per fit_segment call: whether it had candidates
-    measured = []  # per curve_distances call: the run length
+    searched = []  # per farthest call: the run length
+    full = []      # per curve_distances call: the run length
 
     def counting_fit(run, cfg):
         curve, spread = fit_segment(run, cfg)
         fitted.append(bool(spread.candidates))
         return curve, spread
 
-    def counting_distances(run, curve):
-        measured.append(len(run))
-        return curve_distances(run, curve)
+    def counting_farthest(run, curve, lo, hi):
+        searched.append(len(run))
+        return farthest(run, curve, lo, hi)
+
+    def counting_distances(run, curve, samples=None):
+        full.append(len(run))
+        return curve_distances(run, curve, samples)
 
     monkeypatch.setattr(subdivision, "fit_segment", counting_fit)
+    monkeypatch.setattr(subdivision, "farthest", counting_farthest)
     monkeypatch.setattr(subdivision, "curve_distances", counting_distances)
+    monkeypatch.setattr(metrics, "curve_distances", counting_distances)
     pieces = fit_recursive(pts, FitConfig(max_error=0.05))
     assert len(pieces) > 1
-    assert len(measured) == sum(fitted)
+    assert len(searched) == sum(fitted)
+    assert full == []
+
+
+def _full_pass_fit(pts, cfg, depth=0, offset=0):
+    """fit_recursive by the full-pass definition, as (curve, span, flags):
+    split while the spread is too wide or the largest of all the run's
+    distances (reference_curve_distances) exceeds max_error, at
+    reference_split_point."""
+    curve, spread = fit_segment(pts, cfg)
+    fallback = not spread.candidates
+    wants_split = not fallback and (
+        needs_subdivision(spread, cfg)
+        or cfg.max_error is not None
+        and max(reference_curve_distances(pts, curve)) > cfg.max_error)
+    capped = depth >= subdivision.MAX_SPLIT_DEPTH
+    if wants_split and not capped:
+        idx = reference_split_point(pts, curve, cfg.min_segment_points)
+        if idx is not None:
+            return (_full_pass_fit(pts[:idx + 1], cfg, depth + 1, offset)
+                    + _full_pass_fit(pts[idx:], cfg, depth + 1, offset + idx))
+    flags = [FLAG_FALLBACK if fallback
+             else (FLAG_SUBDIVIDED if depth > 0 else FLAG_CORNER)]
+    if wants_split and capped:
+        flags.append(FLAG_DEPTH_CAPPED)
+    return [(curve, (offset, offset + len(pts) - 1), flags)]
+
+
+def _fitted(pts, cfg):
+    return [(p.curve, p.span, p.flags) for p in fit_recursive(pts, cfg)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(radius=st.floats(30, 150), step=st.floats(1.0, 2.5),
+       m=st.integers(16, 120), noise=st.integers(0, 1),
+       max_error=st.sampled_from([0.1, 0.3, 0.8, 2.0]),
+       msp=st.integers(4, 8), rnd=st.randoms(use_true_random=False))
+def test_max_error_fit_matches_full_pass_on_jittered_arcs(radius, step, m,
+                                                         noise, max_error,
+                                                         msp, rnd):
+    # integer points about step px apart along at most 3 radians of a circle
+    turn = min(step / radius, 3.0 / (m - 1))
+    pts = [Point2(round(radius * math.cos(turn * k)) + rnd.randint(-noise, noise),
+                  round(radius * math.sin(turn * k)) + rnd.randint(-noise, noise))
+           for k in range(m)]
+    cfg = FitConfig(min_segment_points=msp, max_error=max_error)
+    try:
+        want = _full_pass_fit(pts, cfg)
+    except DegenerateSegmentError:  # a sub-run that starts where it ends
+        with pytest.raises(DegenerateSegmentError):
+            fit_recursive(pts, cfg)
+        return
+    assert _fitted(pts, cfg) == want
+
+
+def test_max_error_fit_matches_full_pass_on_a_line():
+    # every point lies on the fitted line, so only the golden section's
+    # residuals, near 1e-11 px, pick the split
+    pts = [Point2(float(i), 0.0) for i in range(98)]
+    cfg = FitConfig(max_error=1e-12)
+    got = _fitted(pts, cfg)
+    assert len(got) > 1
+    assert got == _full_pass_fit(pts, cfg)
 
 
 def _rect_contour():

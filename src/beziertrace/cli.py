@@ -153,10 +153,14 @@ def main(argv=None) -> int:
 
 
 def _refuse_overwrite(source: str, outputs, what: str, pick: str) -> None:
-    """DomainError when one of the output paths is the input path, also
-    through a symbolic link."""
+    """DomainError when one of the output paths names the input file, also
+    through a symbolic or a hard link."""
     for out in outputs:
-        if os.path.realpath(out) == os.path.realpath(source):
+        try:
+            same = os.path.samefile(out, source)
+        except OSError:     # one of them does not exist (yet)
+            same = os.path.realpath(out) == os.path.realpath(source)
+        if same:
             raise DomainError(f"output {out} would overwrite the input {what}; "
                               f"pick another {pick}")
 

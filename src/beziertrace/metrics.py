@@ -108,17 +108,6 @@ def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
     return best_i, best
 
 
-def _nearest_samples(pts, xs: list[float], ys: list[float]):
-    """(index, squared distance) of each point's nearest grid sample
-    (_nearest_sample), each seeded from the previous point's, as points
-    run along the curve."""
-    gap = _sample_gap(xs, ys)
-    seed = 0
-    for px, py in pts:
-        seed, d2 = _nearest_sample(px, py, xs, ys, gap, seed)
-        yield seed, d2
-
-
 def _downhill_samples(pts, xs: list[float], ys: list[float], seed: int):
     """(index, squared distance) of a grid sample near each point, found by
     walking from the previous point's sample to neighbours while they are
@@ -185,36 +174,28 @@ def _refine(c: CubicBezier, n: int, px: float, py: float,
     return best
 
 
-# Newton steps per point at most; from the nearest of at least 256 samples
-# no point of the benchmark's seed-1 pools took more than four.
+# Newton evaluations per point at most.  On the benchmark's seed-1 pools
+# points took three on average, and 5 of 45,887 did not converge in eight.
 _NEWTON_STEPS = 8
 
 
-def _newton_refine(c: CubicBezier, n: int, px: float, py: float,
-                   best_i: int, best: float) -> float:
-    """Newton's method on g(u) = (B(u) - p) . B'(u) = 0 from sample best_i.
+def _segment_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
+    """Distance of every point in pts to c, as spline_errors measures them.
 
-    The same contract as _refine: the iterates stay in the grid intervals
-    either side of the sample (each step is clamped to them), best is the
-    sample's squared distance, and the result is the smallest squared
-    distance seen, so it is never above best.  Iteration stops when a step
-    moves u by less than 1e-12, or after _NEWTON_STEPS.
-
-    Newton runs only where f = |B - p|^2 is certified convex over those
-    intervals.  f'' is a polynomial in u, so its Taylor terms at the sample
-    bound how far it can move within 1/n of it; that bound must stay below
-    a third of f'' at the sample.  Then f'' varies less than twofold over
-    the intervals, which hold a single minimum that both refines find, and
-    each Newton step moves nearer to it.  Elsewhere (near a cusp, a nearly
-    stationary end or a point on the evolute) the intervals go to _refine,
-    starting from the best distance seen.
-
-    Two refines serve two contracts.  The split search (farthest, which
-    keeps curve_distances' definition) keeps the golden section alone, so
-    that the fitted geometry breaks near-ties exactly as before; the report
-    (spline_errors) uses this one, which finds the same minimum to ~1e-11
-    px in two or three steps instead of ~47.
+    Newton's method on (B(u) - p) . B'(u) = 0 (Schneider, Graphics Gems,
+    1990) starts one parameter step past the previous point's, clamps each
+    step to [0, 1] and stops when one moves u by less than 1e-12.  B' is a
+    convex combination of 3 (P[k+1] - P[k]) (Sederberg and Nishita, CAD
+    1990), so with e the unit chord and lip = 3 min_k (P[k+1] - P[k]) . e,
+    |B(u) - B(v)| >= lip |u - v|.  When lip > 0, each u farther than
+    2 d0 / lip from the result u0, at distance d0, is farther from p than
+    d0; u0 is the minimum if the Taylor terms of f'' at u0 (f = |B - p|^2)
+    show f convex within that radius, padded.  Any other point (lip <= 0,
+    coincident ends, no convergence, a failed, NaN or infinite bound) takes
+    curve_distances' path on its grid of max(256, 4 * (len(pts) + 1))
+    samples, built once per call; the two agree to ~1e-11 px.
     """
+    _check_range(pts, c)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # T = B'/3 = vv*d0 + 2uv*d1 + uu*d2, E = B''/6 = v*e0 + u*e1 and
     # F = B'''/6 = e1 - e0
@@ -224,53 +205,70 @@ def _newton_refine(c: CubicBezier, n: int, px: float, py: float,
     ex0, ey0 = dx1 - dx0, dy1 - dy0
     ex1, ey1 = dx2 - dx1, dy2 - dy1
     fx, fy = ex1 - ex0, ey1 - ey0
-    a = (best_i - 1) / n if best_i > 0 else 0.0
-    b = (best_i + 1) / n if best_i < n else 1.0
-    d = 1.0 / n
-    u = best_i / n
-    for k in range(_NEWTON_STEPS):
-        v = 1.0 - u
-        vv = v * v
-        uu = u * u
-        uv2 = 2.0 * u * v
-        b0 = v * vv
-        b1 = 3.0 * u * vv
-        b2 = 3.0 * uu * v
-        b3 = u * uu
-        qx = b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px
-        qy = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py
-        f = qx ** 2 + qy ** 2
-        if f < best:
-            best = f
-        tx = vv * dx0 + uv2 * dx1 + uu * dx2
-        ty = vv * dy0 + uv2 * dy1 + uu * dy2
-        sx = v * ex0 + u * ex1
-        sy = v * ey0 + u * ey1
-        h = 3.0 * (tx * tx + ty * ty) + 2.0 * (qx * sx + qy * sy)
-        # h is f''/6, and the Newton step g / h has g divided by 3 as well.
-        # At the sample, h must exceed three times the bound on its change
-        # within d: the Taylor terms of f''' to f'''''' at the sample, over
-        # 6.  Later iterates need only h > 0.
-        if k == 0:
-            slack = 3.0 * d * (
+    ff = 5.0 * (fx * fx + fy * fy)
+    cx, cy = x3 - x0, y3 - y0
+    chord = math.hypot(cx, cy)
+    lip = 3.0 * min(dx0 * cx + dy0 * cy, dx1 * cx + dy1 * cy,
+                    dx2 * cx + dy2 * cy) / chord if chord > 0.0 else 0.0
+    steps = _NEWTON_STEPS if lip > 0.0 else 0
+    n = max(256, 4 * (len(pts) + 1))
+    xs = ys = gap = None
+    sqrt = math.sqrt
+    out = []
+    u = prev = 0.0
+    for px, py in pts:
+        u, prev = min(1.0, max(0.0, u + (u - prev))), u
+        dist = None
+        for _ in range(steps):
+            v = 1.0 - u
+            vv = v * v
+            uu = u * u
+            uv2 = 2.0 * u * v
+            b0 = v * vv
+            b1 = 3.0 * u * vv
+            b2 = 3.0 * uu * v
+            b3 = u * uu
+            qx = b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px
+            qy = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py
+            tx = vv * dx0 + uv2 * dx1 + uu * dx2
+            ty = vv * dy0 + uv2 * dy1 + uu * dy2
+            sx = v * ex0 + u * ex1
+            sy = v * ey0 + u * ey1
+            # h is f''/6, and the Newton step g / h has g divided by 3 too
+            h = 3.0 * (tx * tx + ty * ty) + 2.0 * (qx * sx + qy * sy)
+            if not h > 0.0:
+                break
+            t = u - (qx * tx + qy * ty) / h
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            if abs(t - u) >= 1e-12:
+                u = t
+                continue
+            # B(t) - p to first order: 1e-12 in u can be 1e-8 px along B
+            w = 3.0 * (t - u)
+            d = sqrt((qx + w * tx) ** 2 + (qy + w * ty) ** 2)
+            u = t
+            r = 2.0 * d / lip * _PAD_REL + _PAD_ABS
+            # f''/6 falls by less than this within r: f''' to f'''''' / 6
+            slack = r * (
                 abs(18.0 * (tx * sx + ty * sy) + 2.0 * (qx * fx + qy * fy))
-                + d * (abs(18.0 * (sx * sx + sy * sy)
+                + r * (abs(18.0 * (sx * sx + sy * sy)
                            + 12.0 * (tx * fx + ty * fy))
-                       + d * (20.0 * abs(sx * fx + sy * fy)
-                              + 5.0 * d * (fx * fx + fy * fy))))
-        else:
-            slack = 0.0
-        if not h > slack:
-            return _refine(c, n, px, py, best_i, best)
-        t = u - (qx * tx + qy * ty) / h
-        if t < a:
-            t = a
-        elif t > b:
-            t = b
-        if not abs(t - u) >= 1e-12:
+                       + r * (20.0 * abs(sx * fx + sy * fy) + r * ff)))
+            if h > slack:   # fails on a NaN or infinite bound
+                dist = d
             break
-        u = t
-    return best
+        if dist is None:
+            if xs is None:
+                xs, ys = _curve_table(c, n)
+                gap = _sample_gap(xs, ys)
+            i, d2 = _nearest_sample(px, py, xs, ys, gap, int(u * n + 0.5))
+            dist = sqrt(_refine(c, n, px, py, i, d2))
+            u = i / n
+        out.append(dist)
+    return out
 
 
 def curve_distances(pts: list[Point2], c: CubicBezier,
@@ -279,20 +277,25 @@ def curve_distances(pts: list[Point2], c: CubicBezier,
 
     The grid has max(256, 4 * len(pts)) uniform parameters unless an
     explicit count is given. Each point takes the first grid sample with
-    the smallest squared distance (_nearest_samples) and refines it by
-    golden section over the two neighbouring grid intervals (_refine).
-    This is the definition the split search keeps: no fit path calls it, as
-    farthest finds the largest of these distances bit for bit without
-    refining them all.  The report measures with the Newton refine instead
-    (see spline_errors).  A coordinate that is not finite or not below 1e153
-    in size is a DomainError (_check_range).
+    the smallest squared distance (_nearest_sample, seeded with the previous
+    point's) and refines it by golden section over the two neighbouring
+    grid intervals (_refine).  This is the definition the split search
+    keeps: no fit path calls it, as farthest finds the largest of these
+    distances bit for bit without refining them all.  The report takes a
+    certified Newton minimum instead, and this definition only where the
+    certificate fails (_segment_distances).  A coordinate that is not
+    finite or not below 1e153 in size is a DomainError (_check_range).
     """
     _check_range(pts, c)
     n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
     xs, ys = _curve_table(c, n)
-    sqrt = math.sqrt
-    return [sqrt(_refine(c, n, px, py, i, d2))
-            for (px, py), (i, d2) in zip(pts, _nearest_samples(pts, xs, ys))]
+    gap = _sample_gap(xs, ys)
+    out = []
+    i = 0
+    for px, py in pts:
+        i, d2 = _nearest_sample(px, py, xs, ys, gap, i)
+        out.append(math.sqrt(_refine(c, n, px, py, i, d2)))
+    return out
 
 
 def farthest(pts: list[Point2], c: CubicBezier, lo: int,
@@ -353,15 +356,12 @@ def spline_errors(contour, spline) -> tuple[float, float]:
     segment), so every point is measured exactly once.  A span index
     outside [0, n) is a ConsistencyError.
 
-    A point's distance starts from its nearest sample on the grid
-    curve_distances uses, max(256, 4 * m) for a segment over m points, and
-    is refined by Newton's method (_newton_refine), not by golden section:
-    the two agree to ~1e-11 px, and Newton takes a few steps where the
-    golden section takes ~47.  Each segment's points and curve are held to
-    curve_distances' range (_check_range).
+    A point's distance is Newton's minimum where one bound per segment
+    certifies it, and curve_distances' definition elsewhere
+    (_segment_distances); the two agree to ~1e-11 px.  Each segment's
+    points and curve are held to _check_range before any distance.
     """
     n = contour.n
-    sqrt = math.sqrt
     owner_count = 0
     seen = [False] * n
     max_dev = 0.0
@@ -378,13 +378,8 @@ def spline_errors(contour, spline) -> tuple[float, float]:
                 raise ConsistencyError(f"contour point {idx} covered twice")
             seen[idx] = True
         owner_count += len(indices)
-        pts = [contour.points[idx] for idx in indices]
-        c = seg.curve
-        _check_range(pts, c)
-        samples = max(256, 4 * m)
-        xs, ys = _curve_table(c, samples)
-        for (px, py), (i, d2) in zip(pts, _nearest_samples(pts, xs, ys)):
-            d = sqrt(_newton_refine(c, samples, px, py, i, d2))
+        for d in _segment_distances([contour.points[idx] for idx in indices],
+                                    seg.curve):
             total += d
             if d > max_dev:
                 max_dev = d

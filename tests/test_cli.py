@@ -549,6 +549,31 @@ def test_trace_refuses_to_overwrite_input(tmp_path, rect_pbm, capsys,
     assert rect_pbm.read_bytes() == before
 
 
+def test_trace_refuses_to_overwrite_a_hard_link_to_input(tmp_path, rect_pbm,
+                                                        capsys):
+    before = rect_pbm.read_bytes()
+    link = tmp_path / "link.pbm"
+    os.link(rect_pbm, link)
+    assert main(["trace", str(rect_pbm), "-o", str(link)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "would overwrite the input image" in err[0]
+    assert rect_pbm.read_bytes() == before
+
+
+def test_fit_refuses_to_overwrite_a_hard_link_to_input(tmp_path, rect_pbm,
+                                                      capsys):
+    contours = _trace(tmp_path, rect_pbm)
+    before = contours.read_bytes()
+    os.link(contours, tmp_path / "base.svg")
+    capsys.readouterr()
+    assert main(["fit", str(contours), "-o", str(tmp_path / "base"),
+                 "--format", "svg"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "would overwrite the input" in err[0]
+    assert contours.read_bytes() == before
+
+
 def test_fit_repeat_flag(tmp_path, rect_pbm, capsys):
     contours = _trace(tmp_path, rect_pbm)
     capsys.readouterr()

@@ -16,7 +16,8 @@ from beziertrace.subdivision import (FittedSegment, Spline, fit_outline,
                                      split_point)
 
 from _reference import reference_curve_distances
-from helpers import chord_aligned_cubic, filled_rect_image, uniform_samples
+from helpers import (chord_aligned_cubic, filled_rect_image, rasterize_polygon,
+                     star_polygon, uniform_samples)
 
 
 def _random_curve(rng, span=100.0):
@@ -277,25 +278,6 @@ def test_distances_refuse_out_of_range_coordinates(c, pts):
         split_point(pts, c, FitConfig(min_segment_points=4))
 
 
-def _measured(monkeypatch, c, pts):
-    """Each distance spline_errors measures from pts to c.
-
-    pts is the first segment of a loop closed by a second segment over one
-    repeated point; the Newton refine is wrapped to record each result."""
-    seen = []
-    newton = metrics._newton_refine
-
-    def record(*args):
-        d2 = newton(*args)
-        seen.append(math.sqrt(d2))
-        return d2
-
-    monkeypatch.setattr(metrics, "_newton_refine", record)
-    spline_errors(*_closed_by_one_point(c, pts))
-    assert len(seen) == len(pts) + 1
-    return seen[:len(pts)]
-
-
 def _near(got, want, tol=1e-9):
     """Same number of distances, each within tol, or within 1e-14 of the
     distance where that is wider (past 1e5 px): near the range bound the
@@ -304,57 +286,172 @@ def _near(got, want, tol=1e-9):
         g == w or abs(g - w) <= max(tol, 1e-14 * w) for g, w in zip(got, want))
 
 
-def test_spline_errors_distances_match_full_scan_oracle(monkeypatch):
+def _report_grid(m):
+    """Samples of the grid spline_errors falls back to for m points."""
+    return max(256, 4 * (m + 1))
+
+
+def test_spline_errors_distances_match_full_scan_oracle():
     # includes the cusp, the self-crossing loop, four equal control points,
     # the collinear half-sample cubic and the curve near the range bound
     for c, pts in _oracle_cases():
         for order in (pts, pts[::-1]):
-            samples = max(256, 4 * (len(order) + 1))
-            want = reference_curve_distances(order, c, samples)
-            assert _near(_measured(monkeypatch, c, order), want), (c, order)
+            got = metrics._segment_distances(order, c)
+            want = reference_curve_distances(order, c, _report_grid(len(order)))
+            assert _near(got, want), (c, order)
+            # spline_errors sums these distances, and the closing segment's
+            want = got + metrics._segment_distances(order[-1:], c)
+            assert spline_errors(*_closed_by_one_point(c, order)) \
+                == (max(want), sum(want) / len(want))
 
 
-def test_newton_refine_returns_the_smallest_distance_seen():
-    # a point exactly on grid sample 129 is at squared distance 0 in the
-    # sample table; Newton's own evaluation of the cubic there, in another
-    # operation order, rounds to ~1e-29, and the result must stay 0
-    c = CubicBezier(Point2(52, 60), Point2(29, 22), Point2(32, 22),
-                    Point2(57, 33))
-    xs, ys = metrics._curve_table(c, 300)
-    assert metrics._newton_refine(c, 300, xs[129], ys[129], 129, 0.0) == 0.0
+def _noisy_run(c, m, noise, rnd):
+    """m samples along c, rounded, each moved by up to noise px per axis."""
+    return [Point2(round(p.x + rnd.randint(-noise, noise)),
+                   round(p.y + rnd.randint(-noise, noise)))
+            for p in uniform_samples(c, max(2, m))[:m]]
 
 
-@given(controls=st.lists(st.floats(-300, 300), min_size=8, max_size=8),
-       m=st.integers(1, 300), noise=st.integers(0, 12),
-       coarse=st.integers(1, 8), rnd=st.randoms(use_true_random=False))
-# two curves whose ends all but stop, where f is not convex over the
-# intervals by the nearest sample, u = 1.  A vertical line turns back just
+def _monotone_cubic(a, b, s1, s2, h1, h2):
+    """Cubic from a to b whose inner controls sit at chord fractions
+    s1 <= s2, offset sideways by h1 and h2 chord lengths: every control
+    step moves forward along the chord when 0 < s1 < s2 < 1."""
+    dx, dy = b.x - a.x, b.y - a.y
+    return CubicBezier(a, Point2(a.x + s1 * dx - h1 * dy, a.y + s1 * dy + h1 * dx),
+                       Point2(a.x + s2 * dx - h2 * dy, a.y + s2 * dy + h2 * dx), b)
+
+
+@st.composite
+def _runs(draw):
+    """(curve, points): a random cubic, or one whose control steps all move
+    forward along its chord, the case the report certifies, with a run of
+    up to 60 noisy integer points along it, forward or reversed."""
+    xy = st.floats(-300, 300)
+    a, b = Point2(draw(xy), draw(xy)), Point2(draw(xy), draw(xy))
+    if draw(st.booleans()):
+        c = CubicBezier(a, Point2(draw(xy), draw(xy)),
+                        Point2(draw(xy), draw(xy)), b)
+    else:
+        s1, s2 = sorted((draw(st.floats(0, 1)), draw(st.floats(0, 1))))
+        c = _monotone_cubic(a, b, s1, s2, draw(st.floats(-1, 1)),
+                            draw(st.floats(-1, 1)))
+    pts = _noisy_run(c, draw(st.integers(1, 60)), draw(st.integers(0, 12)),
+                     draw(st.randoms(use_true_random=False)))
+    return c, pts[::-1] if draw(st.booleans()) else pts
+
+
+_ARCH = _monotone_cubic(Point2(0, 0), Point2(100, 0), 1 / 3, 2 / 3, 0.6, 0.6)
+_LINE = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
+                    Point2(1536, 0))
+_HUGE = _monotone_cubic(Point2(-4e151, 3e151), Point2(5e151, -2e151), 0.2, 0.7,
+                        0.1, -0.05)
+
+
+def _control_run(controls, m, noise, seed):
+    """The cubic of eight control coordinates, with a noisy run of m
+    points along it (_noisy_run)."""
+    c = CubicBezier(*[Point2(controls[k], controls[k + 1])
+                      for k in range(0, 8, 2)])
+    return c, _noisy_run(c, m, noise, random.Random(seed))
+
+
+@given(_runs())
+# points on the curve, at and between the grid samples
+@example((_ARCH, uniform_samples(_ARCH, 9) + [evaluate(_ARCH, 0.3071)]))
+# points beyond both ends, nearest to an end point
+@example((_ARCH, [Point2(-9, -4), Point2(-1, 2), Point2(50, 61),
+                  Point2(103, 5), Point2(120, -30)]))
+# a straight cubic whose 256 samples fall on x = 6i; each point is equally
+# near two samples
+@example((_LINE, [Point2(6 * i + 3, 0) for i in range(100, 160)]))
+# an S whose control steps all move forward along the chord: from the
+# start, u = 0, Newton stops at that end, 10.05 px from (-1, 10), a local
+# minimum; the far lobe passes 8.78 px away
+@example((CubicBezier(Point2(0, 0), Point2(4, -70), Point2(6, 40),
+                      Point2(10, 0)), [Point2(-1, 10)]))
+# coincident ends: no chord, so no bound
+@example((CubicBezier(Point2(5, 7), Point2(60, 90), Point2(-40, 80),
+                      Point2(5, 7)),
+          _noisy_run(CubicBezier(Point2(5, 7), Point2(60, 90),
+                                 Point2(-40, 80), Point2(5, 7)),
+                     40, 3, random.Random(2))))
+# a control polygon that doubles back along its chord (a self-crossing loop)
+@example((CubicBezier(Point2(0, 0), Point2(100, 100), Point2(0, 100),
+                      Point2(100, 0)),
+          [Point2(50, 80), Point2(47, 74), Point2(20, 60), Point2(60, 70),
+           Point2(90, 20), Point2(50, 76)]))
+# a curve 1e152 px long, points 1.4e151 px off it on alternate sides
+@example((_HUGE, [Point2(p.x + (-1) ** i * 1e151, p.y + 1e151)
+                  for i, p in enumerate(uniform_samples(_HUGE, 12))]))
+# two curves whose ends all but stop.  A vertical line turns back just
 # before its end, so the point (0, 0), between the last two samples, is on
 # it, but f'' < 0 at u = 1.  The other's end at (0, 0) is a local minimum
 # of the distance from (1, 0), and 3.4e-9 px lower lies another
-@example(controls=[0.0, 1.0, 0.0, 171.0, 0.0, 0.0, 0.0, -0.00390625], m=2,
-         noise=0, coarse=1, rnd=random.Random(0))
-@example(controls=[70.0, 0.0, 0.0, 94.0, 0.0, 0.03125, 0.0, 0.0], m=250,
-         noise=1, coarse=1, rnd=random.Random(1))
-def test_newton_refine_matches_golden_section_on_random_runs(controls, m,
-                                                             noise, coarse,
-                                                             rnd):
-    c = CubicBezier(*[Point2(controls[k], controls[k + 1])
-                      for k in range(0, 8, 2)])
-    pts = [Point2(round(p.x + rnd.randint(-noise, noise)),
-                  round(p.y + rnd.randint(-noise, noise)))
-           for p in uniform_samples(c, max(2, m))[:m]]
-    # on spline_errors' grid the two refines agree; on any grid, Newton
-    # never returns more than the point's nearest-sample distance
-    for n in (max(256, 4 * (m + 1)), coarse):
-        xs, ys = metrics._curve_table(c, n)
-        for (px, py), (i, d2) in zip(pts, metrics._nearest_samples(pts, xs,
-                                                                    ys)):
-            got = metrics._newton_refine(c, n, px, py, i, d2)
-            assert got <= d2
-            if n >= 256:
-                want = metrics._refine(c, n, px, py, i, d2)
-                assert abs(math.sqrt(got) - math.sqrt(want)) <= 1e-9
+@example(_control_run([0.0, 1.0, 0.0, 171.0, 0.0, 0.0, 0.0, -0.00390625],
+                      2, 0, 0))
+@example(_control_run([70.0, 0.0, 0.0, 94.0, 0.0, 0.03125, 0.0, 0.0],
+                      250, 1, 1))
+def test_segment_distances_match_full_scan_oracle_on_random_runs(run):
+    c, pts = run
+    want = reference_curve_distances(pts, c, _report_grid(len(pts)))
+    assert _near(metrics._segment_distances(pts, c), want)
+
+
+def _grid_path(monkeypatch, measure):
+    """measure() and the points it sent to the grid path."""
+    nearest = metrics._nearest_sample
+    swept = []
+
+    def counting(px, py, *args):
+        swept.append(Point2(px, py))
+        return nearest(px, py, *args)
+
+    monkeypatch.setattr(metrics, "_nearest_sample", counting)
+    got = measure()
+    monkeypatch.undo()
+    return got, swept
+
+
+@pytest.mark.parametrize("c, pts", [
+    # coincident ends and a control polygon that doubles back along the
+    # chord: no bound on the parameter
+    (CubicBezier(Point2(5, 7), Point2(60, 90), Point2(-40, 80), Point2(5, 7)),
+     [Point2(5, 7), Point2(20, 50), Point2(11, 66), Point2(5, 8)]),
+    (CubicBezier(Point2(0, 0), Point2(100, 100), Point2(0, 100),
+                 Point2(100, 0)),
+     [Point2(0, 1), Point2(50, 80), Point2(47, 74), Point2(90, 20)]),
+    # _ARCH runs x = 100 u, so lip = 100.  From (0, -15) the nearest point
+    # is the start, d0 = 15; from (20, 5) it is at u0 = 0.078, d0 = 14.56.
+    # For both, f = |B - p|^2 is convex within d0 / lip of u0, but f''
+    # turns negative before 2 d0 / lip
+    (_ARCH, [Point2(0, -15)]),
+    (_ARCH, [Point2(20, 5)]),
+], ids=["coincident-ends", "doubles-back", "below-arch", "inside-arch"])
+def test_points_the_bound_cannot_certify_take_the_grid_path(monkeypatch, c,
+                                                            pts):
+    got, swept = _grid_path(monkeypatch,
+                            lambda: metrics._segment_distances(pts, c))
+    assert swept == pts
+    assert got == reference_curve_distances(pts, c, _report_grid(len(pts)))
+
+
+def test_spline_errors_takes_the_grid_path_for_few_points(monkeypatch):
+    # traced stars and a long ellipse, fitted with the defaults; the
+    # certificate left 1 of their 4712 points to the grid here
+    loops = []
+    for seed in range(6):
+        img = rasterize_polygon(star_polygon(random.Random(seed)), 170, 170)
+        loops.append(trace_boundaries(img)[0])
+    ellipse = [(810.217 + 800 * math.cos(math.pi * k / 1000),
+                50.391 + 40 * math.sin(math.pi * k / 1000))
+               for k in range(2000)]
+    loops.append(trace_boundaries(rasterize_polygon(ellipse, 1620, 100))[0])
+    pairs = [(loop, fit_outline(loop)[0]) for loop in loops]
+    _, swept = _grid_path(monkeypatch, lambda: [spline_errors(*pair)
+                                                for pair in pairs])
+    points = sum(loop.n for loop in loops)
+    assert points > 4500
+    assert len(swept) <= 0.01 * points
 
 
 def test_spline_errors_exact_roundtrip():

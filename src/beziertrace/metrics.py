@@ -179,8 +179,8 @@ def _refine(c: CubicBezier, n: int, px: float, py: float,
 _NEWTON_STEPS = 8
 
 
-def _segment_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
-    """Distance of every point in pts to c, as spline_errors measures them.
+def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
+    """Distance of every point in pts to the curve c, as the report takes it.
 
     Newton's method on (B(u) - p) . B'(u) = 0 (Schneider, Graphics Gems,
     1990) starts one parameter step past the previous point's, clamps each
@@ -192,8 +192,9 @@ def _segment_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     d0; u0 is the minimum if the Taylor terms of f'' at u0 (f = |B - p|^2)
     show f convex within that radius, padded.  Any other point (lip <= 0,
     coincident ends, no convergence, a failed, NaN or infinite bound) takes
-    curve_distances' path on its grid of max(256, 4 * (len(pts) + 1))
-    samples, built once per call; the two agree to ~1e-11 px.
+    farthest's definition on its grid of max(256, 4 * len(pts)) samples,
+    built once per call; the two agree to ~1e-11 px.  A coordinate that is
+    not finite or not below 1e153 in size is a DomainError (_check_range).
     """
     _check_range(pts, c)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
@@ -211,7 +212,7 @@ def _segment_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     lip = 3.0 * min(dx0 * cx + dy0 * cy, dx1 * cx + dy1 * cy,
                     dx2 * cx + dy2 * cy) / chord if chord > 0.0 else 0.0
     steps = _NEWTON_STEPS if lip > 0.0 else 0
-    n = max(256, 4 * (len(pts) + 1))
+    n = max(256, 4 * len(pts))
     xs = ys = gap = None
     sqrt = math.sqrt
     out = []
@@ -271,51 +272,25 @@ def _segment_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     return out
 
 
-def curve_distances(pts: list[Point2], c: CubicBezier,
-                    samples: int | None = None) -> list[float]:
-    """Distance of every point in pts to the curve, sharing one sample grid.
-
-    The grid has max(256, 4 * len(pts)) uniform parameters unless an
-    explicit count is given. Each point takes the first grid sample with
-    the smallest squared distance (_nearest_sample, seeded with the previous
-    point's) and refines it by golden section over the two neighbouring
-    grid intervals (_refine).  This is the definition the split search
-    keeps: no fit path calls it, as farthest finds the largest of these
-    distances bit for bit without refining them all.  The report takes a
-    certified Newton minimum instead, and this definition only where the
-    certificate fails (_segment_distances).  A coordinate that is not
-    finite or not below 1e153 in size is a DomainError (_check_range).
-    """
-    _check_range(pts, c)
-    n = max(256, 4 * len(pts)) if samples is None else max(1, samples)
-    xs, ys = _curve_table(c, n)
-    gap = _sample_gap(xs, ys)
-    out = []
-    i = 0
-    for px, py in pts:
-        i, d2 = _nearest_sample(px, py, xs, ys, gap, i)
-        out.append(math.sqrt(_refine(c, n, px, py, i, d2)))
-    return out
-
-
 def farthest(pts: list[Point2], c: CubicBezier, lo: int,
              hi: int) -> tuple[int, float]:
-    """First index of the largest distance in pts[lo:hi], and that distance.
+    """First index of the largest grid distance in pts[lo:hi], and that
+    distance; needs lo < hi.  This is the whole split search: the split
+    point, and with max_error set also the test of that distance against
+    the bound.  An out-of-range coordinate is a DomainError (_check_range).
 
-    Bit for bit the max(range(lo, hi), key=...) of curve_distances(pts, c)
-    and that value (ties to the first index), with the same DomainError;
-    needs lo < hi.  This is the whole split search: the split point, and
-    with max_error set also the test of that distance against the bound.
+    A point's grid distance is that of the first nearest of the max(256,
+    4 * len(pts)) + 1 uniform samples of c (_nearest_sample), refined by
+    golden section over the intervals beside it (_refine).  It only ranks
+    points: never below curve_distances', it can be above it on a steep
+    cubic, whose nearest sample can lie outside the minimum's basin.
 
-    A point's refined distance is never above g, its nearest-sample
-    distance, and g is never above sqrt(ub), the distance of any sample.
-    Each point first gets such an upper bound ub from a downhill walk along
-    the sample table (_downhill_samples).  The point with the largest ub is
-    swept exactly and refined to d0; a point with sqrt(ub) < d0 can then
-    neither pass d0 nor tie with it, and only points with sqrt(ub) >= d0
-    get the exact sweep for g.  Among them, once the point with the largest
-    g is refined to d, only points with g >= d are refined.  When every
-    distance ties near the top, that is every point, as in the full pass.
+    A grid distance is never above sqrt(d2), the nearest-sample distance,
+    and that is never above sqrt(ub), the distance of the sample where a
+    downhill walk along the table stops (_downhill_samples).  Points are
+    visited by falling ub, equal bounds in index order.  The first point
+    with sqrt(ub) < best ends the search, as no later point can pass or tie
+    best; one with sqrt(d2) < best is not refined; ties keep the first.
     """
     _check_range(pts, c)
     n = max(256, 4 * len(pts))
@@ -323,28 +298,26 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     sqrt = math.sqrt
     gap = _sample_gap(xs, ys)
     # points run along the curve, so the walk starts lo's share along it
-    walk = list(_downhill_samples(pts[lo:hi], xs, ys, n * lo // len(pts)))
-    k0 = max(range(hi - lo), key=lambda k: walk[k][1])
-    j0 = lo + k0
-    d0 = sqrt(_refine(c, n, *pts[j0],
-                      *_nearest_sample(*pts[j0], xs, ys, gap, walk[k0][0])))
-    near = {j: _nearest_sample(*pts[j], xs, ys, gap, s)
-            for j, (s, ub) in enumerate(walk, lo) if sqrt(ub) >= d0}
-    dists = {j0: d0}
-
-    def dist(j: int) -> float:
-        if j not in dists:
-            dists[j] = sqrt(_refine(c, n, *pts[j], *near[j]))
-        return dists[j]
-
-    g = {j: sqrt(d2) for j, (_, d2) in near.items()}
-    dk = dist(max(g, key=g.__getitem__))
-    best_i = max([j for j in g if g[j] >= dk], key=dist)
-    return best_i, dists[best_i]
+    walk = _downhill_samples(pts[lo:hi], xs, ys, n * lo // len(pts))
+    # sorted is stable, so equal bounds keep index order
+    order = sorted(enumerate(walk, lo), key=lambda jw: jw[1][1], reverse=True)
+    best_i, (s, _) = order[0]
+    best = sqrt(_refine(c, n, *pts[best_i],
+                        *_nearest_sample(*pts[best_i], xs, ys, gap, s)))
+    for j, (s, ub) in order[1:]:
+        if sqrt(ub) < best:
+            break
+        i, d2 = _nearest_sample(*pts[j], xs, ys, gap, s)
+        if sqrt(d2) < best:
+            continue
+        d = sqrt(_refine(c, n, *pts[j], i, d2))
+        if d > best or d == best and j < best_i:
+            best_i, best = j, d
+    return best_i, best
 
 
 def point_deviation(p: Point2, c: CubicBezier) -> float:
-    """Minimum distance from p to the curve (sampling plus refinement)."""
+    """Minimum distance from p to the curve, as curve_distances measures it."""
     return curve_distances([p], c)[0]
 
 
@@ -353,15 +326,17 @@ def spline_errors(contour, spline) -> tuple[float, float]:
 
     Each segment owns the contour points from its span start up to but not
     including the span end (the shared break point belongs to the next
-    segment), so every point is measured exactly once.  A span index
-    outside [0, n) is a ConsistencyError.
+    segment), so every point is measured exactly once.  A contour of no
+    points, or a span index outside [0, n), is a ConsistencyError.
 
-    A point's distance is Newton's minimum where one bound per segment
-    certifies it, and curve_distances' definition elsewhere
-    (_segment_distances); the two agree to ~1e-11 px.  Each segment's
-    points and curve are held to _check_range before any distance.
+    A segment's distances are curve_distances over its whole run, end point
+    included, as the segment was fitted to it; the end point's distance is
+    dropped.  Each run and its curve are held to _check_range before any
+    distance.
     """
     n = contour.n
+    if not n:
+        raise ConsistencyError("no contour points to measure")
     owner_count = 0
     seen = [False] * n
     max_dev = 0.0
@@ -371,15 +346,14 @@ def spline_errors(contour, spline) -> tuple[float, float]:
         if not (0 <= a < n and 0 <= b < n):
             raise ConsistencyError(
                 f"segment span {seg.span} outside a loop of {n} points")
-        m = (b - a) % n + 1
-        indices = [(a + k) % n for k in range(m - 1)]
-        for idx in indices:
+        run = [(a + k) % n for k in range((b - a) % n + 1)]
+        for idx in run[:-1]:
             if seen[idx]:
                 raise ConsistencyError(f"contour point {idx} covered twice")
             seen[idx] = True
-        owner_count += len(indices)
-        for d in _segment_distances([contour.points[idx] for idx in indices],
-                                    seg.curve):
+        owner_count += len(run) - 1
+        for d in curve_distances([contour.points[idx] for idx in run],
+                                 seg.curve)[:-1]:
             total += d
             if d > max_dev:
                 max_dev = d

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import beziertrace.metrics as metrics
 from beziertrace.bezier_core import CubicBezier, Point2, evaluate
 from beziertrace.contour import Contour, trace_boundaries
+from beziertrace.corner_detect import range_points
 from beziertrace.errors import ConsistencyError, DomainError
 from beziertrace.metrics import (compression_ratio, curve_distances, farthest,
                                  fit_report, point_deviation, spline_errors)
 from beziertrace.segment_fit import FitConfig, chord_fit
-from beziertrace.subdivision import (FittedSegment, Spline, fit_outline,
+from beziertrace.subdivision import (FLAG_DEPTH_CAPPED, FLAG_FALLBACK,
+                                     FittedSegment, Spline, fit_outline,
                                      split_point)
 
 from _reference import reference_curve_distances
@@ -54,6 +56,16 @@ def test_point_deviation_matches_brute_force():
         p = Point2(rng.uniform(-80, 80), rng.uniform(-80, 80))
         assert point_deviation(p, c) == pytest.approx(
             _brute_force_distance(p, c, samples=20_000), abs=1e-3)
+
+
+def test_distance_to_a_steep_cubic_is_its_minimum():
+    # the nearest of 256 samples lies outside the true minimum's basin, and
+    # the grid definition (farthest's) reads 2.51 px for this point on it
+    c = CubicBezier(Point2(0, 0), Point2(0.6148, -925.61),
+                    Point2(2.3242, -993.02), Point2(3, 0))
+    p = Point2(0.24400, -277.74395)
+    assert curve_distances([p], c)[0] <= 1e-5
+    assert point_deviation(p, c) <= 1e-5
 
 
 def test_point_deviation_lipschitz():
@@ -125,14 +137,12 @@ def test_curve_distances_match_full_scan_oracle():
         shuffled = list(pts)
         rng.shuffle(shuffled)
         for order in (pts, pts[::-1], shuffled):
-            for samples in (1, 2, 7, None):
-                got = curve_distances(order, c, samples)
-                want = reference_curve_distances(order, c, samples)
-                assert got == want, (c, samples)
+            got = [farthest(order, c, j, j + 1)[1] for j in range(len(order))]
+            assert got == reference_curve_distances(order, c), c
 
 
 def _full_pass_farthest(pts, c, lo, hi):
-    dists = curve_distances(pts, c)
+    dists = reference_curve_distances(pts, c)
     i = max(range(lo, hi), key=dists.__getitem__)
     return i, dists[i]
 
@@ -190,6 +200,11 @@ def _farthest_cases(draw):
 @given(_farthest_cases())
 def test_farthest_matches_full_pass_on_random_runs(case):
     assert repr(farthest(*case)) == repr(_full_pass_farthest(*case))
+    # the grid distance that ranks a point is never below its certified one
+    pts, c, _, _ = case
+    for j, d in enumerate(curve_distances(pts, c)):
+        g = farthest(pts, c, j, j + 1)[1]
+        assert d <= g or _near([d], [g]), (j, d, g)
 
 
 def test_farthest_sweeps_few_points_exactly(monkeypatch):
@@ -286,21 +301,17 @@ def _near(got, want, tol=1e-9):
         g == w or abs(g - w) <= max(tol, 1e-14 * w) for g, w in zip(got, want))
 
 
-def _report_grid(m):
-    """Samples of the grid spline_errors falls back to for m points."""
-    return max(256, 4 * (m + 1))
-
-
 def test_spline_errors_distances_match_full_scan_oracle():
     # includes the cusp, the self-crossing loop, four equal control points,
     # the collinear half-sample cubic and the curve near the range bound
     for c, pts in _oracle_cases():
         for order in (pts, pts[::-1]):
-            got = metrics._segment_distances(order, c)
-            want = reference_curve_distances(order, c, _report_grid(len(order)))
-            assert _near(got, want), (c, order)
-            # spline_errors sums these distances, and the closing segment's
-            want = got + metrics._segment_distances(order[-1:], c)
+            assert _near(curve_distances(order, c),
+                         reference_curve_distances(order, c)), (c, order)
+            # spline_errors measures each segment's whole run, end point
+            # included, and sums all but the last distance of each
+            want = (curve_distances(order + order[-1:], c)[:-1]
+                    + curve_distances(order[-1:], c))
             assert spline_errors(*_closed_by_one_point(c, order)) \
                 == (max(want), sum(want) / len(want))
 
@@ -393,8 +404,7 @@ def _control_run(controls, m, noise, seed):
                       250, 1, 1))
 def test_segment_distances_match_full_scan_oracle_on_random_runs(run):
     c, pts = run
-    want = reference_curve_distances(pts, c, _report_grid(len(pts)))
-    assert _near(metrics._segment_distances(pts, c), want)
+    assert _near(curve_distances(pts, c), reference_curve_distances(pts, c))
 
 
 def _grid_path(monkeypatch, measure):
@@ -429,15 +439,13 @@ def _grid_path(monkeypatch, measure):
 ], ids=["coincident-ends", "doubles-back", "below-arch", "inside-arch"])
 def test_points_the_bound_cannot_certify_take_the_grid_path(monkeypatch, c,
                                                             pts):
-    got, swept = _grid_path(monkeypatch,
-                            lambda: metrics._segment_distances(pts, c))
+    got, swept = _grid_path(monkeypatch, lambda: curve_distances(pts, c))
     assert swept == pts
-    assert got == reference_curve_distances(pts, c, _report_grid(len(pts)))
+    assert got == reference_curve_distances(pts, c)
 
 
-def test_spline_errors_takes_the_grid_path_for_few_points(monkeypatch):
-    # traced stars and a long ellipse, fitted with the defaults; the
-    # certificate left 1 of their 4712 points to the grid here
+def _stars_and_ellipse():
+    """Traced loops of six stars and a long ellipse."""
     loops = []
     for seed in range(6):
         img = rasterize_polygon(star_polygon(random.Random(seed)), 170, 170)
@@ -446,12 +454,45 @@ def test_spline_errors_takes_the_grid_path_for_few_points(monkeypatch):
                 50.391 + 40 * math.sin(math.pi * k / 1000))
                for k in range(2000)]
     loops.append(trace_boundaries(rasterize_polygon(ellipse, 1620, 100))[0])
+    return loops
+
+
+def test_spline_errors_takes_the_grid_path_for_few_points(monkeypatch):
+    # traced stars and a long ellipse, fitted with the defaults; the
+    # certificate left 1 of their 4712 points to the grid here
+    loops = _stars_and_ellipse()
     pairs = [(loop, fit_outline(loop)[0]) for loop in loops]
     _, swept = _grid_path(monkeypatch, lambda: [spline_errors(*pair)
                                                 for pair in pairs])
     points = sum(loop.n for loop in loops)
     assert points > 4500
     assert len(swept) <= 0.01 * points
+
+
+@pytest.mark.parametrize("max_error", [0.3, 0.8])
+def test_max_error_bounds_the_reported_distances(max_error):
+    # a final segment fitted from candidates, long enough to split and not
+    # depth-capped passed farthest's test against max_error, and no grid
+    # distance is below the certified one
+    cfg = FitConfig(max_error=max_error)
+    checked = 0
+    for loop in _stars_and_ellipse():
+        for seg in fit_outline(loop, cfg=cfg)[0].segments:
+            run = range_points(loop, *seg.span)
+            if (FLAG_FALLBACK in seg.flags or FLAG_DEPTH_CAPPED in seg.flags
+                    or len(run) < 2 * cfg.min_segment_points):
+                continue
+            assert max(curve_distances(run, seg.curve)) <= max_error
+            checked += 1
+    assert checked >= 40
+
+
+def test_spline_errors_of_no_points_is_a_consistency_error():
+    # read_contour refuses such a loop; a library caller can pass one
+    with pytest.raises(ConsistencyError):
+        spline_errors(Contour([]), Spline([]))
+    with pytest.raises(ConsistencyError):
+        fit_report([(Contour([]), Spline([]))])
 
 
 def test_spline_errors_exact_roundtrip():

@@ -9,6 +9,10 @@ from .errors import DegenerateChordError, DomainError
 
 _new_tuple = tuple.__new__
 
+# Below this size in every coordinate, two points differ by less than 2e153
+# per axis, whose square cannot overflow.
+_SQUARE_SAFE = 1e153
+
 
 class Point2(NamedTuple):
     """A 2D point, in pixel units."""
@@ -85,3 +89,14 @@ def project_parameter(p: Point2, a: Point2, b: Point2) -> float:
     if d2 == 0.0:
         raise DegenerateChordError("chord endpoints coincide")
     return ((p.x - a.x) * dx + (p.y - a.y) * dy) / d2
+
+
+def _check_range(pts) -> None:
+    """DomainError unless every coordinate of the (x, y) pairs in pts is
+    finite and below _SQUARE_SAFE in size: the precondition of the fit and
+    of every distance."""
+    lim = _SQUARE_SAFE
+    for x, y in pts:
+        if not (-lim < x < lim and -lim < y < lim):
+            raise DomainError(f"coordinate ({x!r}, {y!r}) is not finite or "
+                              "not below 1e153 in size")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bezier_core import CubicBezier, Point2
+from .bezier_core import CubicBezier, Point2, _check_range
 from .errors import ConsistencyError, DomainError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,19 +55,6 @@ def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]
 # by the triangle-inequality bound is strictly farther than the best one.
 _PAD_REL = 1.0 + 1e-9
 _PAD_ABS = 1e-12
-# Below this size in every coordinate, a point and a curve point differ by
-# less than 2e153 per axis, whose square cannot overflow.
-_SQUARE_SAFE = 1e153
-
-
-def _check_range(pts, c: CubicBezier) -> None:
-    """DomainError unless every coordinate of pts and c is finite and below
-    _SQUARE_SAFE in size, the precondition of every distance below."""
-    lim = _SQUARE_SAFE
-    for x, y in (*c, *pts):
-        if not (-lim < x < lim and -lim < y < lim):
-            raise DomainError(f"coordinate ({x!r}, {y!r}) is not finite or "
-                              "not below 1e153 in size")
 
 
 def _sample_gap(xs: list[float], ys: list[float]) -> float:
@@ -196,7 +183,7 @@ def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     built once per call; the two agree to ~1e-11 px.  A coordinate that is
     not finite or not below 1e153 in size is a DomainError (_check_range).
     """
-    _check_range(pts, c)
+    _check_range((*c, *pts))
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # T = B'/3 = vv*d0 + 2uv*d1 + uu*d2, E = B''/6 = v*e0 + u*e1 and
     # F = B'''/6 = e1 - e0
@@ -292,7 +279,7 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     with sqrt(ub) < best ends the search, as no later point can pass or tie
     best; one with sqrt(d2) < best is not refined; ties keep the first.
     """
-    _check_range(pts, c)
+    _check_range((*c, *pts))
     n = max(256, 4 * len(pts))
     xs, ys = _curve_table(c, n)
     sqrt = math.sqrt

@@ -11,12 +11,12 @@ its means become the fitted control points.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .bezier_core import CubicBezier, Point2, blend, project_parameter
-from .errors import (DegenerateSegmentError, DomainError, PreconditionError,
-                     SingularParameterError)
+from .bezier_core import CubicBezier, Point2, _check_range, _new_tuple
+from .errors import (DegenerateChordError, DegenerateSegmentError, DomainError,
+                     PreconditionError, SingularParameterError)
 
 # solve denominators smaller than this are rejected outright
 _DEN_FLOOR = 1e-9
@@ -93,44 +93,63 @@ class CandidateSpread:
     def from_candidates(cls, candidates: list[CandidatePair]) -> CandidateSpread:
         if not candidates:
             return cls([])
-        n = len(candidates)
-        m1x = math.fsum(c.p1.x for c in candidates) / n
-        m1y = math.fsum(c.p1.y for c in candidates) / n
-        m2x = math.fsum(c.p2.x for c in candidates) / n
-        m2y = math.fsum(c.p2.y for c in candidates) / n
-        r1 = max(math.hypot(c.p1.x - m1x, c.p1.y - m1y) for c in candidates)
-        r2 = max(math.hypot(c.p2.x - m2x, c.p2.y - m2y) for c in candidates)
-        return cls(list(candidates), Point2(m1x, m1y), Point2(m2x, m2y),
-                   r1, r2)
+        cols = _columns(candidates)
+        return _spread(list(candidates), cols, _means(cols))
+
+
+def _columns(cands: list[CandidatePair]) -> list[list[float]]:
+    """x1, y1, x2, y2 of the candidates' control points, as four lists."""
+    return [list(col) for col in zip(*[c.p1 + c.p2 for c in cands])]
+
+
+def _means(cols) -> list[float]:
+    return [math.fsum(col) / len(col) for col in cols]
+
+
+def _spread(cands, cols, means) -> CandidateSpread:
+    """cands with the means of their columns x1, y1, x2, y2 and the radii."""
+    x1, y1, x2, y2 = cols
+    m1, m2 = _new_tuple(Point2, means[:2]), _new_tuple(Point2, means[2:])
+    # dist(p, m) is hypot(p.x - m.x, p.y - m.y), bit for bit
+    return CandidateSpread(cands, m1, m2,
+                           max(map(math.dist, zip(x1, y1), [m1] * len(x1))),
+                           max(map(math.dist, zip(x2, y2), [m2] * len(x2))))
 
 
 def parameterize(pts: list[Point2]) -> SegmentSamples:
     """Chord-projection parameters for a segment's points.
 
-    Falls back to normalized cumulative chord length when the segment
-    genuinely hooks back over its chord (projection retreats by more than a
-    couple of pixels).  Sub-pixel retreats are ordinary quantization jitter
-    on traced outlines and are repaired in place instead, so that raster
-    input keeps the chord-projection parameterization the solve assumes.
+    Each is project_parameter's, computed inline.  Falls back to normalized
+    cumulative chord length when the segment genuinely hooks back over its
+    chord (projection retreats by more than a couple of pixels).  Sub-pixel
+    retreats are ordinary quantization jitter on traced outlines and are
+    repaired in place instead, so that raster input keeps the
+    chord-projection parameterization the solve assumes; parameters that
+    already strictly increase need no repair.
     """
     if len(pts) < 2:
         raise DegenerateSegmentError("need at least 2 points")
-    a, b = pts[0], pts[-1]
+    (ax, ay), (bx, by) = a, b = pts[0], pts[-1]
     if a == b:
         raise DegenerateSegmentError("segment endpoints coincide")
-    ts = [project_parameter(p, a, b) for p in pts]
+    dx, dy = bx - ax, by - ay
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise DegenerateChordError("chord endpoints coincide")
+    ts = [((x - ax) * dx + (y - ay) * dy) / d2 for x, y in pts]
     ts[0] = 0.0
     ts[-1] = 1.0
-    chord = math.hypot(b.x - a.x, b.y - a.y)
-    running = 0.0
-    excursion = 0.0
+    chord = math.hypot(dx, dy)
+    running = excursion = 0.0
+    jitter = False  # stays False while the parameters strictly increase
     for t in ts[1:]:
         if t > running:
             running = t
-        elif running - t > excursion:
-            excursion = running - t
+        else:
+            jitter = True
+            excursion = max(excursion, running - t)
     fallback = excursion * chord > _HOOK_TOLERANCE_PX
-    if not fallback:
+    if jitter and not fallback:
         repaired = _repair_increasing(ts)
         if repaired is None:
             fallback = True
@@ -188,6 +207,25 @@ def sample_at(s: SegmentSamples, t: float) -> Point2:
     return Point2(p.x + w * (q.x - p.x), p.y + w * (q.y - p.y))
 
 
+def _solve(x0: float, y0: float, x3: float, y3: float, ax: float, ay: float,
+           mx: float, my: float, t: float) -> tuple[float, ...] | None:
+    """x1, y1, x2, y2 from (ax, ay) at t and (mx, my) at 1 - t, in blend's
+    operation order; None when the denominator is below _DEN_FLOOR."""
+    v = 1.0 - t
+    vv = v * v
+    b0, b1, b2, b3 = v * vv, 3.0 * t * vv, 3.0 * (t * t) * v, t * (t * t)
+    den = b1 * b1 - b2 * b2
+    if abs(den) < _DEN_FLOOR:
+        return None
+    # blend(1 - t) has u = v, so its b3 is b0, and its own v is 1 - v
+    w = 1.0 - v
+    m0 = w * (w * w)
+    c1x, c1y = ax - x0 * b0 - x3 * b3, ay - y0 * b0 - y3 * b3
+    c2x, c2y = mx - x0 * m0 - x3 * b0, my - y0 * m0 - y3 * b0
+    return ((c1x * b1 - c2x * b2) / den, (c1y * b1 - c2y * b2) / den,
+            (c2x * b1 - c1x * b2) / den, (c2y * b1 - c1y * b2) / den)
+
+
 def solve_candidate(p0: Point2, p3: Point2, c_at: Point2, c_at_mirror: Point2,
                     t: float, eps_t: float = 1e-3) -> tuple[Point2, Point2]:
     """Solve the two interior control points from one sample/mirror pair.
@@ -200,20 +238,12 @@ def solve_candidate(p0: Point2, p3: Point2, c_at: Point2, c_at_mirror: Point2,
     if t < eps_t or t > 1.0 - eps_t or abs(t - 0.5) < eps_t:
         raise SingularParameterError(
             f"parameter {t!r} within {eps_t} of 0, 0.5, or 1")
-    bt = blend(t)
-    bm = blend(1.0 - t)
-    den = bt.b1 * bt.b1 - bt.b2 * bt.b2
-    if abs(den) < _DEN_FLOOR:
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"blend parameter {t!r} outside [0, 1]")
+    sol = _solve(*p0, *p3, *c_at, *c_at_mirror, t)
+    if sol is None:
         raise SingularParameterError(f"vanishing solve denominator at t={t!r}")
-    c1x = c_at.x - p0.x * bt.b0 - p3.x * bt.b3
-    c1y = c_at.y - p0.y * bt.b0 - p3.y * bt.b3
-    c2x = c_at_mirror.x - p0.x * bm.b0 - p3.x * bm.b3
-    c2y = c_at_mirror.y - p0.y * bm.b0 - p3.y * bm.b3
-    p1 = Point2((c1x * bt.b1 - c2x * bt.b2) / den,
-                (c1y * bt.b1 - c2y * bt.b2) / den)
-    p2 = Point2((c2x * bt.b1 - c1x * bt.b2) / den,
-                (c2y * bt.b1 - c1y * bt.b2) / den)
-    return p1, p2
+    return Point2(*sol[:2]), Point2(*sol[2:])
 
 
 def build_spread(s: SegmentSamples, cfg: FitConfig) -> CandidateSpread:
@@ -221,53 +251,73 @@ def build_spread(s: SegmentSamples, cfg: FitConfig) -> CandidateSpread:
 
     Only parameters in (eps_t, 0.5 - eps_t) are used: each such parameter
     paired with its mirror forms the same system the mirrored pair would,
-    so the upper half would only duplicate equations.
+    so the upper half would only duplicate equations.  The mirror sample
+    is sample_at(s, 1 - t), its interval found by a pointer that only
+    moves down, as the parameters increase and so 1 - t falls.
     """
-    if len(s.pts) < cfg.min_segment_points:
+    pts, ts = s.pts, s.params
+    if len(pts) < cfg.min_segment_points:
         raise PreconditionError(
-            f"segment of {len(s.pts)} points, need {cfg.min_segment_points}")
-    p0, p3 = s.pts[0], s.pts[-1]
-    lo = cfg.eps_t
-    hi = 0.5 - cfg.eps_t
-    candidates = []
-    for i in range(1, len(s.pts) - 1):
-        t = s.params[i]
-        if not lo < t < hi:
-            continue
-        mirror = sample_at(s, 1.0 - t)
-        try:
-            p1, p2 = solve_candidate(p0, p3, s.pts[i], mirror, t, cfg.eps_t)
-        except SingularParameterError:
-            continue
-        candidates.append(CandidatePair(t, p1, p2))
-    return CandidateSpread.from_candidates(candidates)
+            f"segment of {len(pts)} points, need {cfg.min_segment_points}")
+    (x0, y0), (x3, y3) = pts[0], pts[-1]
+    candidates, sols = [], []
+    last = j = len(pts) - 1  # j: the last index whose parameter is <= 1 - t
+    # the usable parameters: eps_t < t < 0.5 - eps_t
+    for i in range(bisect_right(ts, cfg.eps_t),
+                   bisect_left(ts, 0.5 - cfg.eps_t)):
+        t = ts[i]
+        m = 1.0 - t
+        while ts[j] > m:
+            j -= 1
+        if j < last:
+            (px, py), (qx, qy) = pts[j], pts[j + 1]
+            f = (m - ts[j]) / (ts[j + 1] - ts[j])
+            mx, my = px + f * (qx - px), py + f * (qy - py)
+        else:
+            mx, my = x3, y3
+        sol = _solve(x0, y0, x3, y3, *pts[i], mx, my, t)
+        if sol is not None:
+            sols.append(sol)
+            candidates.append(CandidatePair(t, _new_tuple(Point2, sol[:2]),
+                                            _new_tuple(Point2, sol[2:])))
+    if not sols:
+        return CandidateSpread([])
+    cols = list(zip(*sols))
+    return _spread(candidates, cols, _means(cols))
 
 
 def prune_spread(sp: CandidateSpread, cfg: FitConfig) -> CandidateSpread:
-    """Repeatedly drop the worst joint outlier pairs and refresh statistics.
+    """Repeatedly drop the worst joint outlier pairs and refresh the means.
 
-    Each iteration scores every pair by its squared distance from the
-    current means (both control points together), removes the
-    ceil(removal_rate * count) highest scores, and recomputes statistics.
-    At least one candidate always survives.
+    Each round scores every pair by its squared distance from the current
+    means (both control points together), removes the
+    ceil(removal_rate * count) highest scores, the lower index first among
+    equal scores, and takes the means of the rest.  The radii are taken
+    once, after the last round.  At least one candidate always survives.
     """
     if not sp.candidates:
         return sp
-    spread = sp
+    cands = list(sp.candidates)
+    cols = x1, y1, x2, y2 = _columns(cands)
+    means = [*sp.mean1, *sp.mean2]
     for _ in range(cfg.removal_iters):
-        cands = spread.candidates
-        k = min(math.ceil(cfg.removal_rate * len(cands)), len(cands) - 1)
+        n = len(cands)
+        k = min(math.ceil(cfg.removal_rate * n), n - 1)
         if k <= 0:
             break
-        m1, m2 = spread.mean1, spread.mean2
-        scores = [(c.p1.x - m1.x) ** 2 + (c.p1.y - m1.y) ** 2
-                  + (c.p2.x - m2.x) ** 2 + (c.p2.y - m2.y) ** 2
-                  for c in cands]
-        order = sorted(range(len(cands)), key=lambda i: (-scores[i], i))
-        drop = set(order[:k])
-        spread = CandidateSpread.from_candidates(
-            [c for i, c in enumerate(cands) if i not in drop])
-    return spread
+        m1x, m1y, m2x, m2y = means
+        # ** 2.0 is ** 2 (pow, not d * d) without converting the int
+        scores = [(a - m1x) ** 2.0 + (b - m1y) ** 2.0
+                  + (c - m2x) ** 2.0 + (d - m2y) ** 2.0
+                  for a, b, c, d in zip(x1, y1, x2, y2)]
+        # the sort is stable, reversed too, so equal scores keep index order
+        worst = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
+        for i in sorted(worst, reverse=True):
+            del cands[i], x1[i], y1[i], x2[i], y2[i]
+        means = _means(cols)
+    if len(cands) == len(sp.candidates):
+        return sp
+    return _spread(cands, cols, means)
 
 
 def chord_fit(p0: Point2, p3: Point2) -> CubicBezier:
@@ -286,7 +336,8 @@ def fit_segment(pts: list[Point2],
 
     Endpoints are pinned to the run's first and last points.  Short runs
     and runs yielding no candidates fall back to the straight chord fit,
-    recognizable by the returned spread being empty.
+    recognizable by the returned spread being empty.  A coordinate that is
+    not finite or not below 1e153 in size is a DomainError (_check_range).
     """
     cfg = cfg or FitConfig()
     if len(pts) < 2:
@@ -294,6 +345,7 @@ def fit_segment(pts: list[Point2],
     p0, p3 = pts[0], pts[-1]
     if p0 == p3:
         raise DegenerateSegmentError("segment endpoints coincide")
+    _check_range(pts)
     if len(pts) >= cfg.min_segment_points:
         spread = build_spread(parameterize(pts), cfg)
         if spread.candidates:

@@ -1,13 +1,14 @@
-"""Deliberately naive re-implementations of the corner rule, the tracer
-and the point-to-curve distance.
+"""Deliberately naive re-implementations of the corner rule, the tracer,
+the point-to-curve distance and the one-segment fit.
 
 Used purely as cross-check oracles for the production corner detector,
-boundary tracer and curve distances: same definitions, typed independently,
-no shared code.
+boundary tracer, curve distances and candidate fit: same definitions, typed
+independently, no shared code.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 
@@ -235,3 +236,124 @@ def reference_split_point(pts, c, min_segment_points):
             best_i = i
     return min(max(best_i, min_segment_points - 1),
                len(pts) - min_segment_points)
+
+
+def _weights(u):
+    """The four cubic Bernstein weights at u, in the production order."""
+    v = 1.0 - u
+    vv = v * v
+    uu = u * u
+    return v * vv, 3.0 * u * vv, 3.0 * uu * v, u * uu
+
+
+def _reference_params(pts):
+    """Chord-projection parameters of a run, jitter repaired, or the
+    normalized arc length when the run hooks back by over 2 px."""
+    (ax, ay), (bx, by) = pts[0], pts[-1]
+    dx, dy = bx - ax, by - ay
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise ValueError("chord endpoints coincide")
+    ts = [((x - ax) * dx + (y - ay) * dy) / d2 for x, y in pts]
+    ts[0] = 0.0
+    ts[-1] = 1.0
+    running = 0.0
+    excursion = 0.0
+    for t in ts[1:]:
+        running = max(running, t)
+        excursion = max(excursion, running - t)
+    if excursion * math.hypot(dx, dy) <= 2.0:
+        for i in range(1, len(ts)):
+            if ts[i] <= ts[i - 1]:
+                ts[i] = ts[i - 1] + 1e-12
+        for i in range(len(ts) - 2, 0, -1):
+            if ts[i] >= ts[i + 1]:
+                ts[i] = ts[i + 1] - 1e-12
+        if all(t0 < t1 for t0, t1 in zip(ts, ts[1:])):
+            return ts
+    lengths = [0.0]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        step = math.hypot(x1 - x0, y1 - y0)
+        if step == 0.0:
+            raise ValueError("duplicate consecutive points")
+        lengths.append(lengths[-1] + step)
+    ts = [s / lengths[-1] for s in lengths]
+    ts[-1] = 1.0
+    return ts
+
+
+def _reference_stats(cands):
+    """fsum means of both control points and the largest distance of each
+    from its mean."""
+    n = len(cands)
+    m1 = (math.fsum(c[1][0] for c in cands) / n,
+          math.fsum(c[1][1] for c in cands) / n)
+    m2 = (math.fsum(c[2][0] for c in cands) / n,
+          math.fsum(c[2][1] for c in cands) / n)
+    r1 = max(math.hypot(c[1][0] - m1[0], c[1][1] - m1[1]) for c in cands)
+    r2 = max(math.hypot(c[2][0] - m2[0], c[2][1] - m2[1]) for c in cands)
+    return m1, m2, r1, r2
+
+
+def reference_fit_segment(pts, removal_rate=0.05, removal_iters=2,
+                          eps_t=1e-3, min_segment_points=8):
+    """The cubic fitted to a run of (x, y) pairs, with its pruned candidates.
+
+    Returns (curve, candidates, mean1, mean2, radius1, radius2): the curve
+    as four (x, y) pairs, each candidate as (t, (x1, y1), (x2, y2)).  A run
+    shorter than min_segment_points, or one with no candidate, gets the
+    chord thirds and an empty spread.  Each sample with eps_t < t <
+    0.5 - eps_t (and not within eps_t of 0.5) is paired with the polyline
+    at 1 - t, found by bisection, and the two interior control points are
+    solved from fresh Bernstein weights; a solve denominator below 1e-9
+    rejects the sample.  Each pruning round drops the
+    ceil(removal_rate * n) highest squared joint distances from the means,
+    sorted by (-score, index), keeps at least one candidate, and
+    recomputes every statistic.
+    """
+    p0, p3 = pts[0], pts[-1]
+    cands = []
+    if len(pts) >= min_segment_points:
+        ts = _reference_params(pts)
+        for i in range(1, len(pts) - 1):
+            t = ts[i]
+            if not eps_t < t < 0.5 - eps_t or abs(t - 0.5) < eps_t:
+                continue
+            u = 1.0 - t
+            k = bisect.bisect_right(ts, u) - 1
+            if k >= len(ts) - 1:
+                mirror = pts[-1]
+            else:
+                w = (u - ts[k]) / (ts[k + 1] - ts[k])
+                mirror = (pts[k][0] + w * (pts[k + 1][0] - pts[k][0]),
+                          pts[k][1] + w * (pts[k + 1][1] - pts[k][1]))
+            bt = _weights(t)
+            bm = _weights(1.0 - t)
+            den = bt[1] * bt[1] - bt[2] * bt[2]
+            if abs(den) < 1e-9:
+                continue
+            c1 = [pts[i][j] - p0[j] * bt[0] - p3[j] * bt[3] for j in (0, 1)]
+            c2 = [mirror[j] - p0[j] * bm[0] - p3[j] * bm[3] for j in (0, 1)]
+            cands.append((t,
+                          tuple((c1[j] * bt[1] - c2[j] * bt[2]) / den
+                                for j in (0, 1)),
+                          tuple((c2[j] * bt[1] - c1[j] * bt[2]) / den
+                                for j in (0, 1))))
+    if not cands:
+        dx, dy = p3[0] - p0[0], p3[1] - p0[1]
+        return ((p0, (p0[0] + dx / 3.0, p0[1] + dy / 3.0),
+                 (p0[0] + 2.0 * dx / 3.0, p0[1] + 2.0 * dy / 3.0), p3),
+                [], (0.0, 0.0), (0.0, 0.0), 0.0, 0.0)
+    m1, m2, r1, r2 = _reference_stats(cands)
+    for _ in range(removal_iters):
+        k = min(math.ceil(removal_rate * len(cands)), len(cands) - 1)
+        if k <= 0:
+            break
+        scores = [(c[1][0] - m1[0]) ** 2 + (c[1][1] - m1[1]) ** 2
+                  + (c[2][0] - m2[0]) ** 2 + (c[2][1] - m2[1]) ** 2
+                  for c in cands]
+        order = sorted(range(len(cands)), key=lambda i: (-scores[i], i))
+        drop = set(order[:k])
+        cands = [c for i, c in enumerate(cands) if i not in drop]
+        m1, m2, r1, r2 = _reference_stats(cands)
+    return (p0, m1, m2, p3), cands, m1, m2, r1, r2

@@ -2,15 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from beziertrace.bezier_core import Point2, blend
-from beziertrace.errors import (DegenerateSegmentError, DomainError,
-                                PreconditionError, SingularParameterError)
+from beziertrace.bezier_core import CubicBezier, Point2, blend, evaluate
+from beziertrace.errors import (DegenerateChordError, DegenerateSegmentError,
+                                DomainError, PreconditionError,
+                                SingularParameterError)
 from beziertrace.segment_fit import (CandidatePair, CandidateSpread, FitConfig,
                                      build_spread, chord_fit, fit_segment,
                                      parameterize, prune_spread, sample_at,
                                      solve_candidate)
 
+from _reference import reference_fit_segment
 from helpers import chord_aligned_cubic, uniform_samples
 
 
@@ -306,6 +310,20 @@ def test_fit_segment_rigid_motion_equivariance():
         assert got == pytest.approx(want, abs=1e-6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e160],
+                         ids=["nan", "inf", "-inf", "1e160"])
+@pytest.mark.parametrize("where", [0, 1, -1], ids=["start", "inside", "end"])
+@pytest.mark.parametrize("n", [20, 3], ids=["fitted", "chord"])
+def test_fit_segment_rejects_coordinates_out_of_range(bad, where, n):
+    # the distance layer's precondition: finite and below 1e153 in size
+    curve = chord_aligned_cubic(Point2(0, 0), Point2(60, 20), 15.0, -10.0)
+    for axis in "xy":
+        pts = uniform_samples(curve, n)
+        pts[where] = pts[where]._replace(**{axis: bad})
+        with pytest.raises(DomainError):
+            fit_segment(pts, FitConfig())
+
+
 def test_fit_segment_degenerate():
     with pytest.raises(DegenerateSegmentError):
         fit_segment([Point2(0, 0)], FitConfig())
@@ -330,3 +348,85 @@ def test_fit_config_validation():
         FitConfig(min_segment_points=2)
     with pytest.raises(DomainError):
         FitConfig(max_error=-1.0)
+
+
+# ------------------------- fit_segment against the oracle -------------------------
+
+
+def _plain(curve, spread):
+    """fit_segment's result in reference_fit_segment's shape."""
+    return (tuple(map(tuple, curve)),
+            [(c.t, tuple(c.p1), tuple(c.p2)) for c in spread.candidates],
+            tuple(spread.mean1), tuple(spread.mean2),
+            spread.radius1, spread.radius2)
+
+
+_HOOK = [(0, 0), (4, 0), (8, 0), (12, 0), (15, 2), (16, 5), (14, 8), (10, 9),
+         (7, 8)]
+_STAIRS = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1),
+           (7, 0), (8, 0), (10, 0)]
+# on the chord (0, 0)-(1000, 0), t is x / 1000: x = 1 and x = 499 sit exactly
+# on the eps_t = 1e-3 window's ends, 1.001 and 498.999 just inside it
+_WINDOW = [(0, 0), (1, 3), (1.001, 5), (100, 9), (498.999, 7), (499, 6),
+           (499.5, 5), (500, 4), (750, 2), (998.999, 1), (1000, 0)]
+# with eps_t = 1e-6, t = 1e-5 (x = 0.01) has a solve denominator of 9e-10,
+# under the 1e-9 floor, and t = 2e-5 one of 3.6e-9; with eps_t = 1e-12,
+# t = 0.5 - 2e-10 has 2.3e-10
+_FLOOR = [(0, 0), (0.01, 0.5), (0.02, 1), (1, 2), (300, 8), (499.9999998, 6),
+          (700, 3), (999.99, 1), (1000, 0)]
+_NOISY = [(round(50 * math.cos(a) * 2) / 2, round(50 * math.sin(a) * 2) / 2)
+          for a in (math.pi * (0.05 + 0.9 * i / 29) for i in range(30))]
+_SINGULAR = [(0, 0), (4.9, 1.0), (5.0, 1.2), (5.1, 1.0), (10, 0)]
+# two candidates mirrored about their means: equal scores, and the pruning
+# round drops the lower index
+_ZIGZAG = [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (5, 1)]
+
+
+@st.composite
+def _fit_cases(draw):
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        # raster-like: a random cubic at increasing parameters, on half pixels
+        coord = st.integers(-80, 80)
+        c = CubicBezier(*(Point2(draw(coord), draw(coord)) for _ in range(4)))
+        us = sorted(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+        pts = [(round(q.x * 2) / 2, round(q.y * 2) / 2)
+               for q in (evaluate(c, u) for u in us)]
+    else:
+        # a free polyline, which often hooks back over its chord
+        coord = st.integers(-20, 20)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    assume(pts[0] != pts[-1])
+    cfg = FitConfig(
+        removal_rate=draw(st.sampled_from([0.0, 0.05, 0.2, 0.45])),
+        removal_iters=draw(st.integers(0, 3)),
+        eps_t=draw(st.sampled_from([1e-3, 0.02, 1e-6, 1e-12])),
+        min_segment_points=draw(st.integers(4, 10)))
+    return pts, cfg
+
+
+@given(_fit_cases())
+@example((_HOOK, FitConfig(min_segment_points=4)))
+@example((_STAIRS, FitConfig(removal_iters=0)))
+@example((_WINDOW, FitConfig(min_segment_points=4)))
+@example((_FLOOR, FitConfig(eps_t=1e-6, min_segment_points=4)))
+@example((_FLOOR, FitConfig(eps_t=1e-12, min_segment_points=4)))
+@example((_SINGULAR, FitConfig(eps_t=0.02, min_segment_points=5)))
+@example((_ZIGZAG, FitConfig(min_segment_points=4)))
+@example((_NOISY, FitConfig(removal_rate=0.2, removal_iters=0)))
+@example((_NOISY, FitConfig(removal_rate=0.2, removal_iters=1)))
+@example((_NOISY, FitConfig(removal_rate=0.2, removal_iters=2)))
+@example((_NOISY, FitConfig(removal_rate=0.2, removal_iters=3)))
+def test_fit_segment_matches_reference_oracle(case):
+    # bit for bit: every curve, candidate, mean and radius has the same repr
+    raw, cfg = case
+    pts = [Point2(float(x), float(y)) for x, y in raw]
+    try:
+        want = reference_fit_segment(
+            [tuple(p) for p in pts], cfg.removal_rate, cfg.removal_iters,
+            cfg.eps_t, cfg.min_segment_points)
+    except ValueError:  # coincident chord ends or duplicate points
+        with pytest.raises((DegenerateSegmentError, DegenerateChordError)):
+            fit_segment(pts, cfg)
+        return
+    assert repr(_plain(*fit_segment(pts, cfg))) == repr(want)

@@ -9,7 +9,7 @@ import beziertrace.subdivision as subdivision
 from beziertrace.bezier_core import CubicBezier, Point2
 from beziertrace.contour import trace_boundaries
 from beziertrace.corner_detect import CornerParams, detect_corners
-from beziertrace.errors import DegenerateSegmentError
+from beziertrace.errors import DegenerateSegmentError, DomainError
 from beziertrace.metrics import curve_distances, spline_errors
 from beziertrace.segment_fit import (CandidatePair, CandidateSpread, FitConfig,
                                      chord_fit, fit_segment)
@@ -228,9 +228,9 @@ def test_max_error_split_measures_each_piece_once(monkeypatch):
         searched.append(len(run))
         return farthest(run, curve, lo, hi)
 
-    def counting_distances(run, curve, samples=None):
+    def counting_distances(run, curve):
         full.append(len(run))
-        return curve_distances(run, curve, samples)
+        return curve_distances(run, curve)
 
     monkeypatch.setattr(subdivision, "fit_segment", counting_fit)
     monkeypatch.setattr(subdivision, "farthest", counting_farthest)
@@ -240,6 +240,18 @@ def test_max_error_split_measures_each_piece_once(monkeypatch):
     assert len(pieces) > 1
     assert len(searched) == sum(fitted)
     assert full == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e160],
+                         ids=["nan", "inf", "1e160"])
+@pytest.mark.parametrize("where", [0, 40, -1], ids=["start", "inside", "end"])
+def test_fit_recursive_rejects_coordinates_out_of_range(where, bad):
+    # a DomainError, not a finite curve past a NaN or a chord fallback
+    curve = chord_aligned_cubic(Point2(0, 0), Point2(120, 0), 40.0, -30.0)
+    pts = uniform_samples(curve, 80)
+    pts[where] = pts[where]._replace(y=bad)
+    with pytest.raises(DomainError):
+        fit_recursive(pts, FitConfig())
 
 
 def _full_pass_fit(pts, cfg, depth=0, offset=0):

@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from operator import sub
 
-from .bezier_core import Point2
+from .bezier_core import Point2, _new_tuple
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -84,8 +85,7 @@ class ContourDocument:
 
 # --------------------------- portable bitmap input ---------------------------
 
-# one packed P4 byte as its eight pixels, most significant bit first
-_UNPACK = [bytes((b >> (7 - i)) & 1 for i in range(8)) for b in range(256)]
+_DIGIT_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Scanner:
@@ -130,7 +130,9 @@ class _Scanner:
 
 
 def load_image(path: str) -> RasterImage:
-    """Read a 1-bit portable bitmap (plain or raw); 1/black is the object."""
+    """Read a 1-bit portable bitmap (plain or raw); 1/black is the object.
+    A raw row is one big-endian integer, its stride * 8 binary digits cut to
+    width; one translate turns the digits of all rows into pixel bytes."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -184,10 +186,11 @@ def load_image(path: str) -> RasterImage:
                 f"{width}x{height} pixels", offset=len(data))
         if len(data) - sc.pos > need:
             raise sc.error("trailing data after raster", offset=sc.pos + need)
-        unpack = _UNPACK.__getitem__
-        bits = bytearray().join(
-            b"".join(map(unpack, data[row:row + stride]))[:width]
-            for row in range(sc.pos, sc.pos + need, stride))
+        digits = f"0{stride * 8}b"
+        bits = bytearray("".join(
+            format(int.from_bytes(data[i:i + stride], "big"), digits)[:width]
+            for i in range(sc.pos, sc.pos + need, stride)),
+            "ascii").translate(_DIGIT_BIT)
     return RasterImage(width, height, bits)
 
 
@@ -229,19 +232,28 @@ def _moore_trace(bits, marks, ring, start, back):
         cur = nxt
 
 
-def _loop_violation(points) -> str | None:
-    """First closed-loop invariant the pixel list breaks, or None."""
-    n = len(points)
+def _loop_violation(xs, ys) -> str | None:
+    """First closed-loop invariant the pixel loop with columns xs, ys
+    breaks, or None.  The steps are checked in bulk; the pairs are scanned
+    one by one only to name the first that breaks."""
+    n = len(xs)
     if n < 4:
         return f"loop has {n} points, need at least 4"
-    if len(set(points)) != n:
+    if len(set(zip(xs, ys))) != n:
         return "loop revisits a pixel"
+    steps = [*map(sub, xs[1:], xs), *map(sub, ys[1:], ys),
+             xs[0] - xs[-1], ys[0] - ys[-1]]
+    if -1 <= min(steps) and max(steps) <= 1:  # none is 0, 0: no repeats
+        return None
     for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
+        a, b = (xs[i], ys[i]), (xs[i + 1 - n], ys[i + 1 - n])
         if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
             return f"points {a} and {b} are not 8-neighbors"
-    return None
+
+
+def _points(xs, ys) -> list[Point2]:
+    return list(map(_new_tuple, [Point2] * len(xs),
+                    zip(map(float, xs), map(float, ys))))
 
 
 def trace_boundaries(img: RasterImage) -> list[Contour]:
@@ -258,45 +270,44 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
 
     The image is copied into a grid with one background pixel on every
     side, the frame of 0-pixels that Suzuki & Abe assume, and traced on flat
-    indices into it.  Every neighbour probe and every run end then lands
-    inside the grid, and the frame reads as background wherever the image
-    edge would, so no probe or run needs a bounds check.
+    indices into it: one join puts two frame bytes between rows, and one
+    translate makes every object byte 1.  Every neighbour probe and every
+    run end then lands inside the grid, and the frame reads as background
+    wherever the image edge would, so no probe or run needs a bounds check.
     """
     w, h = img.width, img.height
     fw = w + 2  # row stride of the framed grid
-    bits = bytearray(fw * (h + 2))
-    for y in range(h):
-        row = (y + 1) * fw + 1
-        bits[row:row + w] = img.bits[y * w:y * w + w].translate(_AS_BIT)
+    rows = memoryview(img.bits)
+    edge = bytes(fw - 1)  # with a separator: a frame row and one frame pixel
+    bits = bytearray(b"\0\0").join(
+        [edge, *(rows[i:i + w] for i in range(0, w * h, w)), edge]
+    ).translate(_AS_BIT)  # the join's copy is freed before marks is made
     marks = bytearray(len(bits))
     ring = tuple(dx + dy * fw for dx, dy in _CW8) * 2
     outers, holes = [], []  # flat index lists, each kind in raster order
-    for row in range(fw, fw * (h + 1), fw):
-        end = row + fw
-        s = bits.find(1, row, end)
-        while s >= 0:
-            e = bits.find(0, s, end)  # the right frame column ends every run
-            if not marks[s] & _VISITED:  # first pixel of a new object
-                outers.append(_moore_trace(bits, marks, ring, s, s - 1))
-            if bits[e - fw] and not marks[e - 1] & _EAST_CLOSED:
-                # east of the run, below object, on no traced loop: a new hole
-                holes.append(_moore_trace(bits, marks, ring, e - fw, e))
-            s = bits.find(1, e, end)
+    s = bits.find(1)  # runs in raster order, over the whole grid at once
+    while s >= 0:
+        e = bits.find(0, s)  # the right frame column ends every run
+        if not marks[s] & _VISITED:  # first pixel of a new object
+            outers.append(_moore_trace(bits, marks, ring, s, s - 1))
+        if bits[e - fw] and not marks[e - 1] & _EAST_CLOSED:
+            # east of the run, below object, on no traced loop: a new hole
+            holes.append(_moore_trace(bits, marks, ring, e - fw, e))
+        s = bits.find(1, e)
 
     raw = [(loop, False) for loop in outers] + [(loop, True) for loop in holes]
     contours: list[tuple[tuple, Contour]] = []
     for seq, (loop, is_hole) in enumerate(raw):
-        pixels = [(i % fw - 1, i // fw - 1) for i in loop]
-        problem = _loop_violation(pixels)
+        xs, ys = [i % fw - 1 for i in loop], [i // fw - 1 for i in loop]
+        problem = _loop_violation(xs, ys)
         if problem is not None:
-            if len(pixels) > 1:
-                log.warning("dropping %s boundary at %s: %s",
-                            "hole" if is_hole else "outer", pixels[0], problem)
+            if len(loop) > 1:
+                log.warning("dropping %s boundary at %s: %s", "hole"
+                            if is_hole else "outer", (xs[0], ys[0]), problem)
             continue
-        contour = Contour([Point2(float(x), float(y)) for x, y in pixels])
-        if (contour.signed_area() < 0.0) != is_hole:
-            head = contour.points[0]
-            contour.points = [head] + contour.points[:0:-1]
+        contour = Contour(_points(xs, ys))
+        if (contour.signed_area() < 0.0) != is_hole:  # keep the head
+            contour.points[1:] = contour.points[:0:-1]
         # flat indices run in row-major order: the least is topmost-leftmost
         contours.append(((min(loop), is_hole, seq), contour))
 
@@ -363,7 +374,15 @@ _EXACT_INT = 2 ** 53
 
 def _pixel_pairs(where: str, points, path) -> list:
     """points as (x, y) pairs of ints, under the reader's rule: a coordinate
-    that is not an integral value within +-2**53 is a FormatError."""
+    that is not an integral value within +-2**53 is a FormatError.  The loop
+    is checked whole, and point by point only to name the first bad one."""
+    try:
+        xs, ys = zip(*points)
+        ix, iy = tuple(map(int, xs)), tuple(map(int, ys))
+        if ix == xs and iy == ys and max(map(abs, ix + iy)) <= _EXACT_INT:
+            return list(zip(ix, iy))
+    except (ValueError, OverflowError, TypeError):  # no points, NaN, inf
+        pass
     pairs = []
     for pi, (x, y) in enumerate(points):
         if not (abs(x) <= _EXACT_INT and abs(y) <= _EXACT_INT
@@ -373,6 +392,25 @@ def _pixel_pairs(where: str, points, path) -> list:
                               path=str(path))
         pairs.append((int(x), int(y)))
     return pairs
+
+
+def _pixel_columns(raw, where: str, fail) -> tuple:
+    """The x and y columns of raw, which holds only [x, y] pairs of integers
+    within +-2**53: checked in bulk, pair by pair only to word the error."""
+    if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
+        xs, ys = zip(*raw)
+        if ({*map(type, xs), *map(type, ys)} == {int}  # a bool is no int
+                and max(map(abs, xs + ys)) <= _EXACT_INT):
+            return xs, ys
+    for pi, pair in enumerate(raw):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool)
+                           and -_EXACT_INT <= v <= _EXACT_INT
+                           for v in pair)):
+            raise fail(f"{where}.points[{pi}]",
+                       "expected an [x, y] pair of integers within "
+                       f"+-2**53, got {pair!r}")
+    return tuple(zip(*raw)) or ((), ())
 
 
 def write_contour(path: str, doc: ContourDocument) -> None:
@@ -390,7 +428,8 @@ def write_contour(path: str, doc: ContourDocument) -> None:
 
 
 def read_contour(path: str) -> ContourDocument:
-    """Read and validate a contour document written by ``write_contour``."""
+    """Read and validate a contour document written by ``write_contour``.
+    Each loop is checked in bulk and rescanned only to word its error."""
     payload, fail = _load_json(path, "contours", ("width", "height", "contours"))
     width = _integer(payload["width"], "width", 1, fail)
     height = _integer(payload["height"], "height", 1, fail)
@@ -407,18 +446,9 @@ def read_contour(path: str) -> ContourDocument:
         pts_raw = entry.get("points")
         if not isinstance(pts_raw, list):
             raise fail(f"{where}.points", "expected a list")
-        pixels = []
-        for pi, pair in enumerate(pts_raw):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, int) and not isinstance(v, bool)
-                               and -_EXACT_INT <= v <= _EXACT_INT
-                               for v in pair)):
-                raise fail(f"{where}.points[{pi}]",
-                           "expected an [x, y] pair of integers within "
-                           f"+-2**53, got {pair!r}")
-            pixels.append((pair[0], pair[1]))
-        problem = _loop_violation(pixels)
+        xs, ys = _pixel_columns(pts_raw, where, fail)
+        problem = _loop_violation(xs, ys)
         if problem is not None:
             raise fail(f"{where}.points", problem)
-        contours.append(Contour([Point2(float(x), float(y)) for x, y in pixels]))
+        contours.append(Contour(_points(xs, ys)))
     return ContourDocument(width, height, contours)

@@ -307,9 +307,14 @@ def prune_spread(sp: CandidateSpread, cfg: FitConfig) -> CandidateSpread:
             break
         m1x, m1y, m2x, m2y = means
         # ** 2.0 is ** 2 (pow, not d * d) without converting the int
-        scores = [(a - m1x) ** 2.0 + (b - m1y) ** 2.0
-                  + (c - m2x) ** 2.0 + (d - m2y) ** 2.0
-                  for a, b, c, d in zip(x1, y1, x2, y2)]
+        try:
+            scores = [(a - m1x) ** 2.0 + (b - m1y) ** 2.0
+                      + (c - m2x) ** 2.0 + (d - m2y) ** 2.0
+                      for a, b, c, d in zip(x1, y1, x2, y2)]
+        except OverflowError:  # pow raises where d * d would give inf
+            raise DomainError("candidate control points too far from their "
+                              "means to score: a squared offset overflows"
+                              ) from None
         # the sort is stable, reversed too, so equal scores keep index order
         worst = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
         for i in sorted(worst, reverse=True):
@@ -337,7 +342,8 @@ def fit_segment(pts: list[Point2],
     Endpoints are pinned to the run's first and last points.  Short runs
     and runs yielding no candidates fall back to the straight chord fit,
     recognizable by the returned spread being empty.  A coordinate that is
-    not finite or not below 1e153 in size is a DomainError (_check_range).
+    not finite or not below 1e153 in size is a DomainError (_check_range),
+    as is a run whose candidates lie too far apart to score.
     """
     cfg = cfg or FitConfig()
     if len(pts) < 2:

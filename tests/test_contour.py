@@ -2,6 +2,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from beziertrace.contour import (Contour, ContourDocument, RasterImage,
                                  load_image, read_contour, trace_boundaries,
@@ -94,6 +96,28 @@ def test_raw_pbm_partial_last_byte(tmp_path):
         raw = tmp_path / f"w{width}.pbm"
         raw.write_bytes(pbm_raw_bytes(img))
         assert load_image(raw).bits == bits
+
+
+@st.composite
+def _raw_rows(draw):
+    """A raw P4 raster of any width: packed rows with random padding bits."""
+    width, height = draw(st.integers(1, 70)), draw(st.integers(1, 4))
+    stride = (width + 7) // 8
+    return width, height, draw(st.binary(min_size=stride * height,
+                                         max_size=stride * height))
+
+
+@given(_raw_rows())
+@example((9, 2, bytes([0xA5, 0x7F, 0x3C, 0x80])))  # padding bits set
+@example((70, 1, bytes(range(0xF0, 0xF9))))
+def test_raw_pbm_matches_per_bit_decode(tmp_path_factory, raster):
+    width, height, raw = raster
+    stride = (width + 7) // 8
+    path = tmp_path_factory.mktemp("p4") / "r.pbm"
+    path.write_bytes(b"P4\n%d %d\n" % (width, height) + raw)
+    naive = [(raw[y * stride + x // 8] >> (7 - x % 8)) & 1
+             for y in range(height) for x in range(width)]
+    assert list(load_image(path).bits) == naive
 
 
 # ----------------------------- boundary tracing ------------------------------
@@ -319,3 +343,104 @@ def test_contour_rejects_bad_dimensions(tmp_path, width, height, bad):
     with pytest.raises(FormatError) as err:
         read_contour(path)
     assert bad in str(err.value)
+
+
+# Each bad document below names the pair or loop the per-pair scan names;
+# the messages are literal, so a bulk check may only decide when to scan.
+_SQUARE = ["[0,0]", "[1,0]", "[1,1]", "[0,1]"]
+_RING = ["[2,2]", "[3,2]", "[4,2]", "[4,3]", "[4,4]", "[3,4]", "[2,4]",
+         "[2,3]"]
+_PAIR_RULE = "expected an [x, y] pair of integers within +-2**53, got "
+
+
+def _contour_text(loops) -> str:
+    return ('{"width":8,"height":8,"contours":[' + ",".join(
+        '{"closed":true,"points":[' + ",".join(loop) + "]}" for loop in loops)
+        + "]}")
+
+
+def _read_error(tmp_path, loops) -> str:
+    path = tmp_path / "bad.json"
+    path.write_text(_contour_text(loops))
+    with pytest.raises(FormatError) as err:
+        read_contour(path)
+    prefix = f"{path}: "
+    assert str(err.value).startswith(prefix)
+    return str(err.value)[len(prefix):]
+
+
+@pytest.mark.parametrize("ci, pi", [(0, 0), (1, 5)])
+@pytest.mark.parametrize("pair, shown", [
+    ("[true,0]", "[True, 0]"),
+    ("[0,false]", "[0, False]"),
+    ("[1.0,0]", "[1.0, 0]"),
+    ("[0,1.0]", "[0, 1.0]"),
+    ("[9007199254740993,0]", "[9007199254740993, 0]"),
+    ("[0,-9007199254740993]", "[0, -9007199254740993]"),
+    ("[1]", "[1]"),
+    ("[1,2,3]", "[1, 2, 3]"),
+    ('"ab"', "'ab'"),
+    ('{"x":1}', "{'x': 1}"),
+    ("null", "None"),
+])
+def test_read_contour_names_the_first_bad_pair(tmp_path, ci, pi, pair, shown):
+    loops = [list(_SQUARE), list(_RING)]
+    loops[1][7] = '"later"'  # a later bad pair is not the one named
+    loops[ci][pi] = pair
+    assert _read_error(tmp_path, loops) == \
+        f"contours[{ci}].points[{pi}]: {_PAIR_RULE}{shown}"
+
+
+@pytest.mark.parametrize("loops, message", [
+    ([_SQUARE, _RING[:4] + ["[2,2]"] + _RING[5:]],
+     "contours[1].points: loop revisits a pixel"),
+    ([_SQUARE, _RING[:2] + ["[5,2]"] + _RING[3:]],
+     "contours[1].points: points (3, 2) and (5, 2) are not 8-neighbors"),
+    ([_SQUARE, _RING[:4] + ["[4,5]"] + _RING[5:]],  # a gap in y alone
+     "contours[1].points: points (4, 3) and (4, 5) are not 8-neighbors"),
+    ([_SQUARE[:3] + ["[0,2]"], _RING],  # the closing step
+     "contours[0].points: points (0, 2) and (0, 0) are not 8-neighbors"),
+    ([_SQUARE[:3], _RING],
+     "contours[0].points: loop has 3 points, need at least 4"),
+    ([_SQUARE, []], "contours[1].points: loop has 0 points, need at least 4"),
+])
+def test_read_contour_names_the_broken_loop(tmp_path, loops, message):
+    assert _read_error(tmp_path, loops) == message
+
+
+_UNIT_SQUARE = Contour([Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(1.0, 1.0),
+                        Point2(0.0, 1.0)])
+_RING_POINTS = [Point2(float(x), float(y)) for x, y in (
+    (2, 2), (3, 2), (4, 2), (4, 3), (4, 4), (3, 4), (2, 4), (2, 3))]
+
+
+@pytest.mark.parametrize("pi, axis, shown", [
+    (0, "x", "({}, 2.0)"), (3, "y", "(4.0, {})"), (7, "x", "({}, 3.0)")])
+@pytest.mark.parametrize("bad, text", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (0.5, "0.5"), (2.0 ** 53 + 2, "9007199254740994.0"),
+    (2 ** 53 + 1, "9007199254740993")])
+def test_write_contour_names_the_first_bad_point(tmp_path, pi, axis, shown,
+                                                 bad, text):
+    ring = list(_RING_POINTS)
+    if pi == 0:
+        ring[5] = Point2(0.5, 4.0)  # a later bad point is not the one named
+    ring[pi] = ring[pi]._replace(**{axis: bad})
+    path = tmp_path / "bad.json"
+    with pytest.raises(FormatError) as err:
+        write_contour(path, ContourDocument(8, 8, [_UNIT_SQUARE,
+                                                   Contour(ring)]))
+    assert str(err.value) == (
+        f"{path}: contours[1].points[{pi}]: expected integral coordinates "
+        f"within +-2**53, got {shown.format(text)}")
+    assert not path.exists()
+
+
+def test_write_contour_writes_signed_zero_bool_and_int_as_ints(tmp_path):
+    path = tmp_path / "odd.json"
+    write_contour(path, ContourDocument(3, 2, [Contour(
+        [Point2(-0.0, 0), Point2(True, 0), Point2(1, 1.0),
+         Point2(False, True)])]))
+    assert path.read_bytes() == (b'{"contours":[{"closed":true,"points":'
+                                 b'[[0,0],[1,0],[1,1],[0,1]]}],"height":2,'
+                                 b'"width":3}\n')

@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beziertrace.contour import (ContourDocument, RasterImage, load_image,
@@ -102,6 +102,67 @@ def test_trace_matches_reference_on_any_object_byte(img, data):
     got = trace_boundaries(RasterImage(img.width, img.height, bits))
     assert [c.points for c in got] == reference_trace(img.width, img.height,
                                                       bits)
+
+
+def _scan_message(loops) -> str | None:
+    """The contour reader's error text for these point lists, found pair by
+    pair and step by step, or None when every loop is valid."""
+    for ci, raw in enumerate(loops):
+        for pi, pair in enumerate(raw):
+            if not (type(pair) is list and len(pair) == 2
+                    and all(type(v) is int and abs(v) <= 2 ** 53
+                            for v in pair)):
+                return (f"contours[{ci}].points[{pi}]: expected an [x, y] "
+                        f"pair of integers within +-2**53, got {pair!r}")
+        pts = [tuple(pair) for pair in raw]
+        n = len(pts)
+        if n < 4:
+            return (f"contours[{ci}].points: loop has {n} points, need at "
+                    "least 4")
+        if len(set(pts)) != n:
+            return f"contours[{ci}].points: loop revisits a pixel"
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
+                return (f"contours[{ci}].points: points {a} and {b} are not "
+                        "8-neighbors")
+    return None
+
+
+_ODD_PAIRS = st.one_of(
+    st.lists(st.one_of(st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(2 ** 53 - 1, 2 ** 53 + 1),
+                       st.integers(-2 ** 53 - 1, -2 ** 53 + 1)), max_size=3),
+    st.text(max_size=3), st.none(), st.booleans(), st.integers(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@given(img=bitmaps(), data=st.data())
+def test_read_contour_names_what_the_pair_scan_names(img, data):
+    loops = [[[int(p.x), int(p.y)] for p in c.points]
+             for c in trace_boundaries(img)]
+    assume(loops)
+    ci = data.draw(st.integers(0, len(loops) - 1))
+    pi = data.draw(st.integers(0, len(loops[ci]) - 1))
+    x, y = loops[ci][pi]
+    loops[ci][pi] = data.draw({
+        "odd": _ODD_PAIRS,
+        "repeat": st.sampled_from(loops[ci]).map(list),
+        "shift": st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+            lambda d: [x + d[0], y + d[1]]),  # a gap in x, y or both
+    }[data.draw(st.sampled_from(("odd", "repeat", "shift")))])
+    expected = _scan_message(loops)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"width": img.width, "height": img.height, "contours": [
+                {"closed": True, "points": loop} for loop in loops]}, fh)
+        try:
+            read_contour(path)
+            got = None
+        except FormatError as exc:
+            got = str(exc)[len(path) + 2:]
+    assert got == expected
 
 
 # ------------------------------- reader fuzzing ------------------------------

@@ -324,6 +324,17 @@ def test_fit_segment_rejects_coordinates_out_of_range(bad, where, n):
             fit_segment(pts, FitConfig())
 
 
+def test_fit_segment_in_range_overflow_is_domain_error():
+    # in range, but a candidate is an offset over a solve denominator near
+    # 1e-5, so its squared offset from the means is past the float range
+    rng = random.Random(2)
+    pts = [Point2(9e152 * i / 999, rng.uniform(-5e152, 5e152))
+           for i in range(1000)]
+    pts[0], pts[-1] = Point2(0.0, 0.0), Point2(9e152, 0.0)
+    with pytest.raises(DomainError, match="squared offset overflows"):
+        fit_segment(pts, FitConfig())
+
+
 def test_fit_segment_degenerate():
     with pytest.raises(DegenerateSegmentError):
         fit_segment([Point2(0, 0)], FitConfig())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from operator import sub
+from operator import mul, sub
 
 from .bezier_core import Point2, _new_tuple
 from .errors import FormatError
@@ -305,11 +305,11 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
                 log.warning("dropping %s boundary at %s: %s", "hole"
                             if is_hole else "outer", (xs[0], ys[0]), problem)
             continue
-        contour = Contour(_points(xs, ys))
-        if (contour.signed_area() < 0.0) != is_hole:  # keep the head
-            contour.points[1:] = contour.points[:0:-1]
+        if (sum(map(mul, xs, ys[1:] + ys[:1]))  # exact shoelace sign
+                < sum(map(mul, xs[1:] + xs[:1], ys))) != is_hole:
+            xs[1:], ys[1:] = xs[:0:-1], ys[:0:-1]  # keep the head
         # flat indices run in row-major order: the least is topmost-leftmost
-        contours.append(((min(loop), is_hole, seq), contour))
+        contours.append(((min(loop), is_hole, seq), Contour(_points(xs, ys))))
 
     contours.sort(key=lambda item: item[0])
     return [c for _, c in contours]

@@ -51,16 +51,10 @@ def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]
              for b0, b1, b2, b3 in basis])
 
 
-# Rounding pad on distances and on the sample gap, so that a sample skipped
-# by the triangle-inequality bound is strictly farther than the best one.
+# Rounding pad on distances and on the sample gap, so that what a bound
+# skips is strictly farther than the best found.
 _PAD_REL = 1.0 + 1e-9
 _PAD_ABS = 1e-12
-
-
-def _sample_gap(xs: list[float], ys: list[float]) -> float:
-    """Longest chord between neighbouring samples, padded for rounding."""
-    return max(map(math.dist, zip(xs, ys), zip(xs[1:], ys[1:]))) \
-        * _PAD_REL + _PAD_ABS
 
 
 def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
@@ -70,9 +64,9 @@ def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
     The nearest sample is found exactly but without visiting every sample:
     the bound starts from sample 0 and from the seed sample, and a sample at
     distance d lets the sweep skip the next floor((d - best) / gap) samples,
-    gap being _sample_gap of the table; by the triangle inequality none of
-    them can be closer.  Ties go to the first sample, so the result does not
-    depend on the seed, only the work does.
+    gap being the longest chord between neighbouring samples, padded; by the
+    triangle inequality none of them can be closer.  Ties go to the first
+    sample, so the result does not depend on the seed, only the work does.
     """
     sqrt = math.sqrt
     n = len(xs) - 1
@@ -166,24 +160,23 @@ def _refine(c: CubicBezier, n: int, px: float, py: float,
 _NEWTON_STEPS = 8
 
 
-def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
-    """Distance of every point in pts to the curve c, as the report takes it.
+def _certified(c: CubicBezier, n: int, table=None):
+    """Distance to c, as a function (px, py, u) -> (distance, end u).
 
     Newton's method on (B(u) - p) . B'(u) = 0 (Schneider, Graphics Gems,
-    1990) starts one parameter step past the previous point's, clamps each
-    step to [0, 1] and stops when one moves u by less than 1e-12.  B' is a
-    convex combination of 3 (P[k+1] - P[k]) (Sederberg and Nishita, CAD
-    1990), so with e the unit chord and lip = 3 min_k (P[k+1] - P[k]) . e,
-    |B(u) - B(v)| >= lip |u - v|.  When lip > 0, each u farther than
-    2 d0 / lip from the result u0, at distance d0, is farther from p than
-    d0; u0 is the minimum if the Taylor terms of f'' at u0 (f = |B - p|^2)
-    show f convex within that radius, padded.  Any other point (lip <= 0,
-    coincident ends, no convergence, a failed, NaN or infinite bound) takes
-    farthest's definition on its grid of max(256, 4 * len(pts)) samples,
-    built once per call; the two agree to ~1e-11 px.  A coordinate that is
-    not finite or not below 1e153 in size is a DomainError (_check_range).
+    1990) clamps each step to [0, 1] and stops when one moves u by less than
+    1e-12.  B' is a convex combination of 3 (P[k+1] - P[k]) (Sederberg and
+    Nishita, CAD 1990), so with e the unit chord and lip = 3 min_k
+    (P[k+1] - P[k]) . e, |B(u) - B(v)| >= lip |u - v|.  When lip > 0, each
+    u farther than 2 d0 / lip from the result u0, at distance d0, is
+    farther from p than d0; u0 is the minimum if the Taylor terms of f'' at
+    u0 (f = |B - p|^2) show f convex within that radius, padded.  Any other
+    point (lip <= 0, coincident ends, no convergence, a failed, NaN or
+    infinite bound) takes the grid distance: the first nearest of n + 1
+    uniform samples (_nearest_sample; table, or built at the first such
+    point), refined by golden section (_refine).  It is never below the
+    minimum, but above it where that sample is outside the minimum's basin.
     """
-    _check_range((*c, *pts))
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # T = B'/3 = vv*d0 + 2uv*d1 + uu*d2, E = B''/6 = v*e0 + u*e1 and
     # F = B'''/6 = e1 - e0
@@ -199,14 +192,10 @@ def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     lip = 3.0 * min(dx0 * cx + dy0 * cy, dx1 * cx + dy1 * cy,
                     dx2 * cx + dy2 * cy) / chord if chord > 0.0 else 0.0
     steps = _NEWTON_STEPS if lip > 0.0 else 0
-    n = max(256, 4 * len(pts))
-    xs = ys = gap = None
     sqrt = math.sqrt
-    out = []
-    u = prev = 0.0
-    for px, py in pts:
-        u, prev = min(1.0, max(0.0, u + (u - prev))), u
-        dist = None
+    grid = []   # xs, ys and their sample gap, once a point needs them
+
+    def distance(px: float, py: float, u: float) -> tuple[float, float]:
         for _ in range(steps):
             v = 1.0 - u
             vv = v * v
@@ -246,58 +235,68 @@ def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
                            + 12.0 * (tx * fx + ty * fy))
                        + r * (20.0 * abs(sx * fx + sy * fy) + r * ff)))
             if h > slack:   # fails on a NaN or infinite bound
-                dist = d
+                return d, u
             break
-        if dist is None:
-            if xs is None:
-                xs, ys = _curve_table(c, n)
-                gap = _sample_gap(xs, ys)
-            i, d2 = _nearest_sample(px, py, xs, ys, gap, int(u * n + 0.5))
-            dist = sqrt(_refine(c, n, px, py, i, d2))
-            u = i / n
-        out.append(dist)
+        if not grid:
+            xs, ys = table or _curve_table(c, n)
+            gap = max(map(math.dist, zip(xs, ys), zip(xs[1:], ys[1:])))
+            grid.extend((xs, ys, gap * _PAD_REL + _PAD_ABS))
+        xs, ys, gap = grid
+        i, d2 = _nearest_sample(px, py, xs, ys, gap, int(u * n + 0.5))
+        return sqrt(_refine(c, n, px, py, i, d2)), i / n
+
+    return distance
+
+
+def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
+    """Distance of every point in pts to the curve c, as the report takes it:
+    _certified's measure, falling back on max(256, 4 * len(pts)) samples,
+    each point started one parameter step past the previous point's.  A
+    coordinate not finite or not below 1e153 in size is a DomainError.
+    """
+    _check_range((*c, *pts))
+    distance = _certified(c, max(256, 4 * len(pts)))
+    out = []
+    u = prev = 0.0
+    for px, py in pts:
+        u, prev = min(1.0, max(0.0, u + (u - prev))), u
+        d, u = distance(px, py, u)
+        out.append(d)
     return out
 
 
 def farthest(pts: list[Point2], c: CubicBezier, lo: int,
              hi: int) -> tuple[int, float]:
-    """First index of the largest grid distance in pts[lo:hi], and that
+    """First index of the largest distance in pts[lo:hi], and that
     distance; needs lo < hi.  This is the whole split search: the split
     point, and with max_error set also the test of that distance against
     the bound.  An out-of-range coordinate is a DomainError (_check_range).
 
-    A point's grid distance is that of the first nearest of the max(256,
-    4 * len(pts)) + 1 uniform samples of c (_nearest_sample), refined by
-    golden section over the intervals beside it (_refine).  It only ranks
-    points: never below curve_distances', it can be above it on a steep
-    cubic, whose nearest sample can lie outside the minimum's basin.
-
-    A grid distance is never above sqrt(d2), the nearest-sample distance,
-    and that is never above sqrt(ub), the distance of the sample where a
-    downhill walk along the table stops (_downhill_samples).  Points are
-    visited by falling ub, equal bounds in index order.  The first point
-    with sqrt(ub) < best ends the search, as no later point can pass or tie
-    best; one with sqrt(d2) < best is not refined; ties keep the first.
+    Each point takes _certified's measure, started at the sample s / n
+    where a downhill walk along the max(256, 4 * len(pts)) + 1 samples
+    stops (_downhill_samples), at squared distance ub; points are visited
+    by falling ub, equal bounds and ties in index order.  A grid distance is
+    at most sqrt(ub) exactly.  A certified one rounds the minimum, at most
+    the sample's distance, which sqrt(ub) rounds, each within a few ulps of
+    the largest coordinate in play: sqrt(ub) plus the largest control one
+    at most, as samples lie in the control hull.  The pad, 1e-9 of sqrt(ub)
+    plus 1e-13 of that control coordinate plus 1e-12, covers both, so the
+    first point whose padded sqrt(ub) is below the best ends the search.
     """
     _check_range((*c, *pts))
     n = max(256, 4 * len(pts))
     xs, ys = _curve_table(c, n)
-    sqrt = math.sqrt
-    gap = _sample_gap(xs, ys)
+    distance = _certified(c, n, (xs, ys))
+    pad = 1e-13 * max(abs(v) for p in c for v in p) + _PAD_ABS
     # points run along the curve, so the walk starts lo's share along it
     walk = _downhill_samples(pts[lo:hi], xs, ys, n * lo // len(pts))
     # sorted is stable, so equal bounds keep index order
     order = sorted(enumerate(walk, lo), key=lambda jw: jw[1][1], reverse=True)
-    best_i, (s, _) = order[0]
-    best = sqrt(_refine(c, n, *pts[best_i],
-                        *_nearest_sample(*pts[best_i], xs, ys, gap, s)))
-    for j, (s, ub) in order[1:]:
-        if sqrt(ub) < best:
+    best_i, best = lo, -1.0
+    for j, (s, ub) in order:
+        if math.sqrt(ub) * _PAD_REL + pad < best:
             break
-        i, d2 = _nearest_sample(*pts[j], xs, ys, gap, s)
-        if sqrt(d2) < best:
-            continue
-        d = sqrt(_refine(c, n, *pts[j], i, d2))
+        d = distance(*pts[j], s / n)[0]
         if d > best or d == best and j < best_i:
             best_i, best = j, d
     return best_i, best

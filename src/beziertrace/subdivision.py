@@ -55,7 +55,8 @@ def split_point(pts, fitted: CubicBezier, cfg: FitConfig,
     keep at least min_segment_points points; None when the run is too short
     to split at all.  worst, when given, is farthest(pts, fitted, 1,
     len(pts) - 1) already found by the caller; otherwise farthest finds it
-    here, refining only the few distances that can be the largest.
+    here, measuring curve_distances' distance only at the few points whose
+    bound can reach the largest.
     """
     msp = cfg.min_segment_points
     if len(pts) < 2 * msp:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or system error, 2 malformed input file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -72,6 +73,9 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                         "triggers subdivision (default: off)")
 
 
+# One tree per process, built on the first call rather than at import:
+# parsing leaves it unchanged, so every call of main shares it.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="beziertrace",
                      description="Vectorize closed raster outlines into "

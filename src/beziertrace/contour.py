@@ -88,6 +88,17 @@ class ContourDocument:
 _DIGIT_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
+def _bands(buf, start: int, stride: int, count: int) -> list[list[int]]:
+    """[first, end) runs of live rows, rows of stride bytes not all zero."""
+    zero, bands = bytes(stride), [[0, -1]]
+    for r in range(count):
+        if not buf.startswith(zero, start + r * stride):
+            if bands[-1][1] != r:
+                bands.append([r, r])
+            bands[-1][1] = r + 1
+    return bands[1:]
+
+
 class _Scanner:
     """Byte cursor with PBM whitespace/comment skipping and offset reporting."""
 
@@ -132,7 +143,7 @@ class _Scanner:
 def load_image(path: str) -> RasterImage:
     """Read a 1-bit portable bitmap (plain or raw); 1/black is the object.
     A raw row is one big-endian integer, its stride * 8 binary digits cut to
-    width; one translate turns the digits of all rows into pixel bytes."""
+    width; one translate per band of live rows (_bands), none for blank ones."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -187,10 +198,12 @@ def load_image(path: str) -> RasterImage:
         if len(data) - sc.pos > need:
             raise sc.error("trailing data after raster", offset=sc.pos + need)
         digits = f"0{stride * 8}b"
-        bits = bytearray("".join(
-            format(int.from_bytes(data[i:i + stride], "big"), digits)[:width]
-            for i in range(sc.pos, sc.pos + need, stride)),
-            "ascii").translate(_DIGIT_BIT)
+        bits = bytearray(width * height)
+        for a, b in _bands(data, sc.pos, stride, height):
+            bits[a * width:b * width] = "".join(
+                format(int.from_bytes(data[i:i + stride], "big"), digits)[:width]
+                for i in range(sc.pos + a * stride, sc.pos + b * stride, stride)
+            ).encode().translate(_DIGIT_BIT)
     return RasterImage(width, height, bits)
 
 
@@ -268,37 +281,38 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
     a valid loop (single pixels, one-pixel-wide features that force a pixel
     to repeat) are dropped with a warning.
 
-    The image is copied into a grid with one background pixel on every
-    side, the frame of 0-pixels that Suzuki & Abe assume, and traced on flat
-    indices into it: one join puts two frame bytes between rows, and one
-    translate makes every object byte 1.  Every neighbour probe and every
-    run end then lands inside the grid, and the frame reads as background
-    wherever the image edge would, so no probe or run needs a bounds check.
+    Each band of live rows (_bands) is copied into a grid framed by 0-pixels,
+    as Suzuki & Abe assume, and traced on flat indices: one join puts two
+    frame bytes between rows, one translate makes every object byte 1.  So
+    every probe and run end lands in the grid, where the frame reads as the
+    image edge or a blank row would.  No 8-connected object crosses a blank
+    row and no hole holds one, as it reaches the image edge: bands suffice.
     """
     w, h = img.width, img.height
     fw = w + 2  # row stride of the framed grid
     rows = memoryview(img.bits)
     edge = bytes(fw - 1)  # with a separator: a frame row and one frame pixel
-    bits = bytearray(b"\0\0").join(
-        [edge, *(rows[i:i + w] for i in range(0, w * h, w)), edge]
-    ).translate(_AS_BIT)  # the join's copy is freed before marks is made
-    marks = bytearray(len(bits))
     ring = tuple(dx + dy * fw for dx, dy in _CW8) * 2
-    outers, holes = [], []  # flat index lists, each kind in raster order
-    s = bits.find(1)  # runs in raster order, over the whole grid at once
-    while s >= 0:
-        e = bits.find(0, s)  # the right frame column ends every run
-        if not marks[s] & _VISITED:  # first pixel of a new object
-            outers.append(_moore_trace(bits, marks, ring, s, s - 1))
-        if bits[e - fw] and not marks[e - 1] & _EAST_CLOSED:
-            # east of the run, below object, on no traced loop: a new hole
-            holes.append(_moore_trace(bits, marks, ring, e - fw, e))
-        s = bits.find(1, e)
+    outers, holes = [], []  # (row above the band, flat indices), raster order
+    for y0, y1 in _bands(img.bits, 0, w, h):
+        bits = bytearray(b"\0\0").join(
+            [edge, *(rows[i:i + w] for i in range(y0 * w, y1 * w, w)), edge]
+        ).translate(_AS_BIT)  # the join's copy is freed before marks is made
+        marks = bytearray(len(bits))
+        s = bits.find(1)  # runs in raster order, over the whole band at once
+        while s >= 0:
+            e = bits.find(0, s)  # the right frame column ends every run
+            if not marks[s] & _VISITED:  # first pixel of a new object
+                outers.append((y0 - 1, _moore_trace(bits, marks, ring, s, s - 1)))
+            if bits[e - fw] and not marks[e - 1] & _EAST_CLOSED:
+                # east of the run, below object, on no traced loop: a new hole
+                holes.append((y0 - 1, _moore_trace(bits, marks, ring, e - fw, e)))
+            s = bits.find(1, e)
 
-    raw = [(loop, False) for loop in outers] + [(loop, True) for loop in holes]
+    raw = [(*t, False) for t in outers] + [(*t, True) for t in holes]
     contours: list[tuple[tuple, Contour]] = []
-    for seq, (loop, is_hole) in enumerate(raw):
-        xs, ys = [i % fw - 1 for i in loop], [i // fw - 1 for i in loop]
+    for seq, (top, loop, is_hole) in enumerate(raw):
+        xs, ys = [i % fw - 1 for i in loop], [i // fw + top for i in loop]
         problem = _loop_violation(xs, ys)
         if problem is not None:
             if len(loop) > 1:
@@ -309,7 +323,8 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
                 < sum(map(mul, xs[1:] + xs[:1], ys))) != is_hole:
             xs[1:], ys[1:] = xs[:0:-1], ys[:0:-1]  # keep the head
         # flat indices run in row-major order: the least is topmost-leftmost
-        contours.append(((min(loop), is_hole, seq), Contour(_points(xs, ys))))
+        contours.append(((min(loop) + top * fw, is_hole, seq),
+                         Contour(_points(xs, ys))))
 
     contours.sort(key=lambda item: item[0])
     return [c for _, c in contours]

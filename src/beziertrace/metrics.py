@@ -30,25 +30,18 @@ def compression_ratio(n_points: int, n_segments: int) -> float:
     return n_points / n_segments
 
 
-def _bernstein(samples: int) -> list[tuple[float, float, float, float]]:
-    """The four cubic Bernstein weights at u = i / samples, i = 0..samples."""
-    us = [i / samples for i in range(samples + 1)]
-    return [(v * v * v, 3.0 * u * v * v, 3.0 * u * u * v, u * u * u)
-            for u, v in zip(us, [1.0 - u for u in us])]
-
-
-# The grid of every segment of up to 64 points; other sizes build their own
-# basis per call, as caching every size would keep a table per run length.
-_BERNSTEIN_256 = _bernstein(256)
-
-
 def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]]:
-    basis = _BERNSTEIN_256 if samples == 256 else _bernstein(samples)
+    """x and y of c at u = i / samples, i = 0..samples.  The four Bernstein
+    weights of each u are computed inline, for any size; no basis is kept."""
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
-    return ([b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
-             for b0, b1, b2, b3 in basis],
-            [b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3
-             for b0, b1, b2, b3 in basis])
+    xs, ys = [], []
+    for i in range(samples + 1):
+        u = i / samples
+        v = 1.0 - u
+        b0, b1, b2, b3 = v * v * v, 3.0 * u * v * v, 3.0 * u * u * v, u * u * u
+        xs.append(b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3)
+        ys.append(b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3)
+    return xs, ys
 
 
 # Rounding pad on distances and on the sample gap, so that what a bound

@@ -409,6 +409,27 @@ def test_exit_code_usage_error():
     assert main(["no-such-command"]) == 1
 
 
+def test_main_builds_its_parser_once_and_repeats_every_byte(tmp_path,
+                                                            rect_pbm, capsys):
+    # the tree is built on the first call, not at import, then kept
+    proc = _python("import beziertrace.cli as cli\n"
+                   "print(cli._build_parser.cache_info().currsize)\n")
+    assert proc.stdout.split() == ["0"], proc.stderr
+    out = tmp_path / "c.json"
+    calls = (["fit", "--help"], ["fit", "--bogus-flag"],
+             ["trace", str(rect_pbm), "-o", str(out)])
+    runs = []
+    for _ in range(2):
+        for argv in calls:
+            code = main(argv)
+            seen = capsys.readouterr()
+            runs.append((code, seen.out, seen.err))
+        runs.append(out.read_bytes())
+    assert runs[:4] == runs[4:]
+    assert [run[0] for run in runs[:3]] == [0, 1, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_exit_code_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json")

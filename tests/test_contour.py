@@ -1,5 +1,6 @@
 import logging
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -100,16 +101,21 @@ def test_raw_pbm_partial_last_byte(tmp_path):
 
 @st.composite
 def _raw_rows(draw):
-    """A raw P4 raster of any width: packed rows with random padding bits."""
-    width, height = draw(st.integers(1, 70)), draw(st.integers(1, 4))
+    """A raw P4 raster of any width: packed rows with random padding bits,
+    some rows all zero bytes and some with only their padding bits set."""
+    width, height = draw(st.integers(1, 70)), draw(st.integers(1, 12))
     stride = (width + 7) // 8
-    return width, height, draw(st.binary(min_size=stride * height,
-                                         max_size=stride * height))
+    padding = ((1 << (stride * 8 - width)) - 1).to_bytes(stride, "big")
+    row = st.one_of(st.binary(min_size=stride, max_size=stride),
+                    st.just(bytes(stride)), st.just(padding))
+    return width, height, b"".join(draw(st.lists(row, min_size=height,
+                                                 max_size=height)))
 
 
 @given(_raw_rows())
 @example((9, 2, bytes([0xA5, 0x7F, 0x3C, 0x80])))  # padding bits set
 @example((70, 1, bytes(range(0xF0, 0xF9))))
+@example((13, 5, bytes([0, 0, 0, 7, 0x80, 0, 0, 0, 0, 1])))  # blank rows too
 def test_raw_pbm_matches_per_bit_decode(tmp_path_factory, raster):
     width, height, raw = raster
     stride = (width + 7) // 8
@@ -220,6 +226,27 @@ def test_dropped_loop_warning_names_image_coordinates(caplog):
         "dropping outer boundary at (3, 3): loop revisits a pixel"]
 
 
+def _whiskers_in_two_bands():
+    """Two bands split by a blank row: above, a ring whose hole a 1-px spike
+    pinches; below, a block with a 1-px tail.  Both loops revisit a pixel."""
+    img = RasterImage(20, 14, bytearray(20 * 14))
+    for x0, y0, x1, y1, value in ((2, 0, 10, 6, 0xFF), (3, 1, 9, 5, 0),
+                                  (2, 3, 5, 3, 0xFF), (3, 8, 9, 12, 1),
+                                  (10, 10, 15, 10, 1)):
+        for y in range(y0, y1 + 1):
+            img.bits[y * 20 + x0:y * 20 + x1 + 1] = bytes([value]) * (x1 - x0 + 1)
+    return img
+
+
+def test_dropped_loop_warnings_run_outers_then_holes_across_bands(caplog):
+    with caplog.at_level(logging.WARNING, logger="beziertrace.contour"):
+        loops = trace_boundaries(_whiskers_in_two_bands())
+    assert [c.points[0] for c in loops] == [Point2(2.0, 0.0)]
+    assert caplog.messages == [
+        "dropping outer boundary at (3, 8): loop revisits a pixel",
+        "dropping hole boundary at (3, 0): loop revisits a pixel"]
+
+
 def _oracle_bitmaps():
     rng = random.Random(0x7ACE)
     for _ in range(300):  # noise
@@ -236,6 +263,17 @@ def _oracle_bitmaps():
             for y in range(y0, y1 + 1):
                 bits[y * w + x0:y * w + x1 + 1] = bytes([value]) * (x1 - x0 + 1)
         yield w, h, bits
+    for _ in range(120):  # bands of live rows between blank ones
+        w, h = rng.randint(1, 30), rng.randint(1, 30)
+        bits = bytearray(rng.choice((1, 2, 0x80, 0xFF))
+                         * (rng.random() < rng.uniform(0.2, 0.8))
+                         for _ in range(w * h))
+        for y in rng.sample(range(1, h - 1), rng.randint(0, max(0, h - 2))):
+            bits[y * w:(y + 1) * w] = bytes(w)  # the first and last stay live
+        yield w, h, bits
+    ring = b"\0\0\0\0\0\0\x01\x01\x01\0\0\x01\0\x01\0\0\x01\x01\xff\0"
+    yield 5, 8, bytearray(b"\x01" * 5 + bytes(5) + ring + bytes(5) + b"\x02" * 5)
+    yield 20, 14, _whiskers_in_two_bands().bits
     for w, h in ((1, 1), (1, 9), (9, 1), (7, 5)):
         yield w, h, bytearray(w * h)
         yield w, h, bytearray(b"\x01" * (w * h))
@@ -246,6 +284,51 @@ def test_trace_matches_two_flood_oracle():
     for w, h, bits in _oracle_bitmaps():
         got = [c.points for c in trace_boundaries(RasterImage(w, h, bits))]
         assert got == reference_trace(w, h, bits), (w, h, bytes(bits))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args), and the most memory it held at once by tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _square_page(tmp_path):
+    """A 2000x2000 page holding one 20x20 square, as pixels and as raw P4."""
+    w = h = 2000
+    bits = bytearray(w * h)
+    for y in range(990, 1010):
+        bits[y * w + 990:y * w + 1010] = b"\x01" * 20
+    row = (((1 << 20) - 1) << (w - 1010)).to_bytes(w // 8, "big")
+    path = tmp_path / "square.pbm"
+    path.write_bytes(b"P4\n%d %d\n" % (w, h) + b"".join(
+        row if 990 <= y < 1010 else bytes(w // 8) for y in range(h)))
+    return RasterImage(w, h, bits), path
+
+
+def test_tracer_holds_only_the_live_band(tmp_path):
+    # the tracer frames only the square's band, 22 rows of 2002 bytes, and
+    # holds that and the band's marks at once: each is 1.1% of the page
+    page, _ = _square_page(tmp_path)
+    loops, peak = _traced_peak(trace_boundaries, page)
+    assert [c.n for c in loops] == [76]
+    assert peak < 0.03 * page.width * page.height
+
+
+def test_loader_holds_only_the_page_and_the_file(tmp_path):
+    # the loader holds the zeroed page it returns, the packed file and the
+    # decoded band, not a digit string and a copy of the whole page
+    page, path = _square_page(tmp_path)
+    img, peak = _traced_peak(load_image, path)
+    assert img.bits == page.bits
+    assert peak < 1.25 * page.width * page.height
 
 
 # ----------------------------- contour documents -----------------------------

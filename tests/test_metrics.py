@@ -12,7 +12,7 @@ from beziertrace.corner_detect import range_points
 from beziertrace.errors import ConsistencyError, DomainError
 from beziertrace.metrics import (compression_ratio, curve_distances, farthest,
                                  fit_report, point_deviation, spline_errors)
-from beziertrace.segment_fit import FitConfig, chord_fit
+from beziertrace.segment_fit import FitConfig, chord_fit, fit_segment
 from beziertrace.subdivision import (FLAG_DEPTH_CAPPED, FLAG_FALLBACK,
                                      FittedSegment, Spline, fit_outline,
                                      fit_recursive, split_point)
@@ -154,12 +154,6 @@ def test_curve_distances_match_full_scan_oracle():
             assert _near(got, reference_curve_distances(order, c)), c
 
 
-def _full_pass_farthest(pts, c, lo, hi):
-    dists = reference_curve_distances(pts, c)
-    i = max(range(lo, hi), key=dists.__getitem__)
-    return i, dists[i]
-
-
 def _near_full_pass(got, pts, c, lo, hi):
     """Whether got, farthest's (index, distance), is a largest distance in
     pts[lo:hi] by the full pass: its distance and its index's full-pass
@@ -230,6 +224,9 @@ def test_farthest_matches_full_pass_on_random_runs(case):
 
 
 def test_farthest_sweeps_few_points_exactly(monkeypatch):
+    # the closed-form fit of a noisy half circle turns back along its chord
+    # (lip <= 0), so every point farthest measures takes the grid fallback
+    # and sweeps the samples: its break must leave nearly all unmeasured
     nearest = metrics._nearest_sample
     swept = []
 
@@ -237,16 +234,19 @@ def test_farthest_sweeps_few_points_exactly(monkeypatch):
         swept.append(args)
         return nearest(*args)
 
-    monkeypatch.setattr(metrics, "_nearest_sample", counting)
     rng = random.Random(8)
-    arch = chord_aligned_cubic(Point2(0, 0), Point2(600, 0), 150.0, 150.0)
-    pts = [Point2(round(p.x) + rng.randint(-2, 2), round(p.y)
-                  + rng.randint(-2, 2)) for p in uniform_samples(arch, 500)]
-    chord = chord_fit(pts[0], pts[-1])
-    got = farthest(pts, chord, 1, len(pts) - 1)
-    assert len(swept) <= 0.03 * len(pts)
-    monkeypatch.undo()
-    assert got == _full_pass_farthest(pts, chord, 1, len(pts) - 1)
+    pts = [Point2(150.0 - 150.0 * math.cos(math.pi * k / 499)
+                  + rng.uniform(-2, 2),
+                  -150.0 * math.sin(math.pi * k / 499) + rng.uniform(-2, 2))
+           for k in range(500)]
+    fit = fit_segment(pts, FitConfig())[0]
+    monkeypatch.setattr(metrics, "_nearest_sample", counting)
+    got = farthest(pts, fit, 1, len(pts) - 1)
+    pruned = len(swept)
+    want = _unpruned_farthest(pts, fit, 1, len(pts) - 1)
+    assert len(swept) - pruned == len(pts) - 2  # no point is certified
+    assert 0 < pruned <= 0.03 * len(pts)
+    assert got == want
 
 
 def _unpruned_farthest(pts, c, lo, hi):
@@ -326,6 +326,25 @@ def test_farthest_is_a_largest_certified_distance(case):
     assert _near([d, dists[i]], [top, top]), (i, d, top)
     # the break skips only points that can neither pass nor tie the best
     assert (i, d) == _unpruned_farthest(*case)
+
+
+def _basis_table(c, samples):
+    """The sample table in its basis form: the four Bernstein weights of
+    every u first, then each coordinate as their sum of products."""
+    us = [i / samples for i in range(samples + 1)]
+    basis = [(v * v * v, 3.0 * u * v * v, 3.0 * u * u * v, u * u * u)
+             for u, v in zip(us, [1.0 - u for u in us])]
+    return tuple([b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3
+                  for b0, b1, b2, b3 in basis] for p0, p1, p2, p3 in zip(*c))
+
+
+@given(st.integers(1, 5000),
+       st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8))
+@example(256, [0.0, 0.0, 0.6148, -925.61, 2.3242, -993.02, 3.0, 0.0])
+def test_curve_table_is_the_basis_form_bit_for_bit(samples, coords):
+    c = CubicBezier(*map(Point2, coords[::2], coords[1::2]))
+    assert repr(metrics._curve_table(c, samples)) == \
+        repr(_basis_table(c, samples))
 
 
 def _out_of_range_cases():

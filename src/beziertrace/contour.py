@@ -142,8 +142,9 @@ class _Scanner:
 
 def load_image(path: str) -> RasterImage:
     """Read a 1-bit portable bitmap (plain or raw); 1/black is the object.
-    A raw row is one big-endian integer, its stride * 8 binary digits cut to
-    width; one translate per band of live rows (_bands), none for blank ones."""
+    A plain raster is decoded by whole-buffer translates.  A raw row is one
+    big-endian integer, its stride * 8 binary digits cut to width; one
+    translate per band of live rows (_bands), none for blank ones."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -168,22 +169,24 @@ def load_image(path: str) -> RasterImage:
         if len(data) - sc.pos < total:
             raise sc.error(f"truncated raster: {len(data) - sc.pos} bytes "
                            f"for {width}x{height} pixels", offset=len(data))
-        bits = bytearray(total)
-        count = 0
-        while count < total:
+        # comments cut to their line ends, separators deleted: the rest must
+        # be the pixels, 0 or 1; the byte scan runs only to word a failure
+        head, *rest = data[sc.pos:].split(b"#")
+        raster = b"".join([head, *(p.partition(b"\n")[2] for p in rest)]
+                          ).translate(None, _Scanner._WS)
+        del head, rest  # frees the copied raster text before the pixels
+        bad = len(raster) != total or raster.translate(None, b"01")
+        for count in range(total + 1 if bad else 0):
             sc.skip_separators()
+            if count == total:
+                raise sc.error("trailing data after raster")
             if sc.pos >= len(data):
                 raise sc.error(f"truncated raster: {count} of {total} pixels")
             c = data[sc.pos]
-            if c == 0x31:
-                bits[count] = 1
-            elif c != 0x30:
+            if c not in b"01":
                 raise sc.error(f"unexpected raster byte {chr(c)!r}")
-            count += 1
             sc.pos += 1
-        sc.skip_separators()
-        if sc.pos != len(data):
-            raise sc.error("trailing data after raster")
+        bits = bytearray(raster.translate(_DIGIT_BIT))
     else:
         # exactly one separator byte after the header, then packed rows
         if sc.pos >= len(data) or data[sc.pos] not in _Scanner._WS:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bezier_core import CubicBezier, Point2, _check_range, _new_tuple
@@ -77,43 +78,45 @@ class CandidatePair:
 
 @dataclass
 class CandidateSpread:
-    """Candidate cloud with its dispersion statistics.
-
-    Means are kept for both control points; each radius is the largest
-    candidate distance from its mean.
+    """Candidate cloud as columns: parameters ts, control points x1, y1,
+    x2, y2, and their means.  candidates and the radii (the largest
+    candidate distance from its mean, 0.0 when empty) are built when read.
     """
 
-    candidates: list[CandidatePair]
+    ts: Sequence[float] = ()
+    x1: Sequence[float] = ()
+    y1: Sequence[float] = ()
+    x2: Sequence[float] = ()
+    y2: Sequence[float] = ()
     mean1: Point2 = Point2(0.0, 0.0)
     mean2: Point2 = Point2(0.0, 0.0)
-    radius1: float = 0.0
-    radius2: float = 0.0
+
+    @property
+    def candidates(self) -> list[CandidatePair]:
+        return [CandidatePair(t, Point2(a, b), Point2(c, d)) for t, a, b, c, d
+                in zip(self.ts, self.x1, self.y1, self.x2, self.y2)]
+
+    radius1 = property(lambda sp: _radius(sp.x1, sp.y1, sp.mean1))
+    radius2 = property(lambda sp: _radius(sp.x2, sp.y2, sp.mean2))
 
     @classmethod
     def from_candidates(cls, candidates: list[CandidatePair]) -> CandidateSpread:
-        if not candidates:
-            return cls([])
-        cols = _columns(candidates)
-        return _spread(list(candidates), cols, _means(cols))
+        return _spread([c.t for c in candidates], *zip(*[
+            c.p1 + c.p2 for c in candidates])) if candidates else cls()
 
 
-def _columns(cands: list[CandidatePair]) -> list[list[float]]:
-    """x1, y1, x2, y2 of the candidates' control points, as four lists."""
-    return [list(col) for col in zip(*[c.p1 + c.p2 for c in cands])]
+def _spread(ts, x1, y1, x2, y2) -> CandidateSpread:
+    """The cloud of these columns, with their fsum means."""
+    n = len(ts)
+    return CandidateSpread(
+        ts, x1, y1, x2, y2,
+        _new_tuple(Point2, (math.fsum(x1) / n, math.fsum(y1) / n)),
+        _new_tuple(Point2, (math.fsum(x2) / n, math.fsum(y2) / n)))
 
 
-def _means(cols) -> list[float]:
-    return [math.fsum(col) / len(col) for col in cols]
-
-
-def _spread(cands, cols, means) -> CandidateSpread:
-    """cands with the means of their columns x1, y1, x2, y2 and the radii."""
-    x1, y1, x2, y2 = cols
-    m1, m2 = _new_tuple(Point2, means[:2]), _new_tuple(Point2, means[2:])
+def _radius(xs, ys, m: Point2) -> float:
     # dist(p, m) is hypot(p.x - m.x, p.y - m.y), bit for bit
-    return CandidateSpread(cands, m1, m2,
-                           max(map(math.dist, zip(x1, y1), [m1] * len(x1))),
-                           max(map(math.dist, zip(x2, y2), [m2] * len(x2))))
+    return max(map(math.dist, zip(xs, ys), [m] * len(xs)), default=0.0)
 
 
 def parameterize(pts: list[Point2]) -> SegmentSamples:
@@ -260,7 +263,7 @@ def build_spread(s: SegmentSamples, cfg: FitConfig) -> CandidateSpread:
         raise PreconditionError(
             f"segment of {len(pts)} points, need {cfg.min_segment_points}")
     (x0, y0), (x3, y3) = pts[0], pts[-1]
-    candidates, sols = [], []
+    used, sols = [], []
     last = j = len(pts) - 1  # j: the last index whose parameter is <= 1 - t
     # the usable parameters: eps_t < t < 0.5 - eps_t
     for i in range(bisect_right(ts, cfg.eps_t),
@@ -277,13 +280,9 @@ def build_spread(s: SegmentSamples, cfg: FitConfig) -> CandidateSpread:
             mx, my = x3, y3
         sol = _solve(x0, y0, x3, y3, *pts[i], mx, my, t)
         if sol is not None:
+            used.append(t)
             sols.append(sol)
-            candidates.append(CandidatePair(t, _new_tuple(Point2, sol[:2]),
-                                            _new_tuple(Point2, sol[2:])))
-    if not sols:
-        return CandidateSpread([])
-    cols = list(zip(*sols))
-    return _spread(candidates, cols, _means(cols))
+    return _spread(used, *zip(*sols)) if sols else CandidateSpread()
 
 
 def prune_spread(sp: CandidateSpread, cfg: FitConfig) -> CandidateSpread:
@@ -292,20 +291,21 @@ def prune_spread(sp: CandidateSpread, cfg: FitConfig) -> CandidateSpread:
     Each round scores every pair by its squared distance from the current
     means (both control points together), removes the
     ceil(removal_rate * count) highest scores, the lower index first among
-    equal scores, and takes the means of the rest.  The radii are taken
-    once, after the last round.  At least one candidate always survives.
+    equal scores, and takes the means of the rest.  It deletes from copies
+    of the columns; the radii are computed when read.  At least one
+    candidate always survives.
     """
-    if not sp.candidates:
+    if not sp.ts:
         return sp
-    cands = list(sp.candidates)
-    cols = x1, y1, x2, y2 = _columns(cands)
-    means = [*sp.mean1, *sp.mean2]
+    cols = ts, x1, y1, x2, y2 = [list(c) for c in
+                                 (sp.ts, sp.x1, sp.y1, sp.x2, sp.y2)]
+    out = sp
     for _ in range(cfg.removal_iters):
-        n = len(cands)
+        n = len(ts)
         k = min(math.ceil(cfg.removal_rate * n), n - 1)
         if k <= 0:
             break
-        m1x, m1y, m2x, m2y = means
+        (m1x, m1y), (m2x, m2y) = out.mean1, out.mean2
         # ** 2.0 is ** 2 (pow, not d * d) without converting the int
         try:
             scores = [(a - m1x) ** 2.0 + (b - m1y) ** 2.0
@@ -318,11 +318,9 @@ def prune_spread(sp: CandidateSpread, cfg: FitConfig) -> CandidateSpread:
         # the sort is stable, reversed too, so equal scores keep index order
         worst = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
         for i in sorted(worst, reverse=True):
-            del cands[i], x1[i], y1[i], x2[i], y2[i]
-        means = _means(cols)
-    if len(cands) == len(sp.candidates):
-        return sp
-    return _spread(cands, cols, means)
+            del ts[i], x1[i], y1[i], x2[i], y2[i]
+        out = _spread(*cols)
+    return out
 
 
 def chord_fit(p0: Point2, p3: Point2) -> CubicBezier:
@@ -354,7 +352,7 @@ def fit_segment(pts: list[Point2],
     _check_range(pts)
     if len(pts) >= cfg.min_segment_points:
         spread = build_spread(parameterize(pts), cfg)
-        if spread.candidates:
+        if spread.ts:
             spread = prune_spread(spread, cfg)
             return CubicBezier(p0, spread.mean1, spread.mean2, p3), spread
-    return chord_fit(p0, p3), CandidateSpread([])
+    return chord_fit(p0, p3), CandidateSpread()

@@ -79,7 +79,7 @@ def fit_recursive(pts, cfg: FitConfig | None = None) -> list[FittedSegment]:
 
 def _fit_into(pts, offset, cfg, depth, out) -> None:
     curve, spread = fit_segment(pts, cfg)
-    fallback = not spread.candidates
+    fallback = not spread.ts
     wants_split = False
     worst = None
     if not fallback:

@@ -126,6 +126,58 @@ def test_raw_pbm_matches_per_bit_decode(tmp_path_factory, raster):
     assert list(load_image(path).bits) == naive
 
 
+# a run of separators between plain pixels: whitespace, or a comment that
+# ends its line (one holding '#' and digits too)
+_PLAIN_SEP = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c",
+                              b"# note\n", b"#1 0 # 01\n", b"#\r\n"])
+
+
+@st.composite
+def _plain_pages(draw):
+    """A random bitmap as a plain P1 file, with a random run of separators
+    before each pixel (at least one before the first) and after the last,
+    where a final comment may end the file without a newline."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    bits = draw(st.lists(st.integers(0, 1), min_size=width * height,
+                         max_size=width * height))
+    out = [b"P1\n%d %d" % (width, height)]
+    for i, bit in enumerate(bits):
+        out += draw(st.lists(_PLAIN_SEP, min_size=1 if i == 0 else 0,
+                             max_size=3))
+        out.append(b"01"[bit:bit + 1])
+    out += draw(st.lists(_PLAIN_SEP, max_size=3))
+    out.append(draw(st.sampled_from([b"", b"\n", b"# end", b"#"])))
+    return RasterImage(width, height, bytearray(bits)), b"".join(out)
+
+
+@given(_plain_pages())
+@example((RasterImage(3, 2, bytearray([1, 1, 0, 0, 1, 1])),
+          b"P1 3 2\n1#0\n1 0#1\n\n01#1\n1# end"))
+def test_plain_pbm_matches_raw_decode(tmp_path_factory, page):
+    img, plain = page
+    where = tmp_path_factory.mktemp("p1")
+    (where / "a.pbm").write_bytes(plain)
+    (where / "b.pbm").write_bytes(pbm_raw_bytes(img))
+    assert load_image(where / "a.pbm").bits == load_image(where / "b.pbm").bits
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P1\n2 2\n1 0 # note\n x1\n",
+     "unexpected raster byte 'x' (byte offset 19)"),
+    (b"P1\n2 2\n1 0\n# last pixel\n1\n",
+     "truncated raster: 3 of 4 pixels (byte offset 26)"),
+    (b"P1\n2 1\n1 0 # end\n1\n",
+     "trailing data after raster (byte offset 17)"),
+])
+def test_plain_pbm_failures_keep_their_words_and_offsets(tmp_path, data,
+                                                         message):
+    p = tmp_path / "f.pbm"
+    p.write_bytes(data)
+    with pytest.raises(FormatError) as err:
+        load_image(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
 # ----------------------------- boundary tracing ------------------------------
 
 

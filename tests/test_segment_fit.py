@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from beziertrace import segment_fit
 from beziertrace.bezier_core import CubicBezier, Point2, blend, evaluate
+from beziertrace.contour import trace_boundaries
 from beziertrace.errors import (DegenerateChordError, DegenerateSegmentError,
                                 DomainError, PreconditionError,
                                 SingularParameterError)
@@ -13,9 +15,11 @@ from beziertrace.segment_fit import (CandidatePair, CandidateSpread, FitConfig,
                                      build_spread, chord_fit, fit_segment,
                                      parameterize, prune_spread, sample_at,
                                      solve_candidate)
+from beziertrace.subdivision import FLAG_FALLBACK, fit_outline
 
 from _reference import reference_fit_segment
-from helpers import chord_aligned_cubic, uniform_samples
+from helpers import (chord_aligned_cubic, rasterize_polygon, star_polygon,
+                     uniform_samples)
 
 
 STRAIGHT_RUN = [Point2(float(i), 0.0) for i in range(11)]
@@ -441,3 +445,35 @@ def test_fit_segment_matches_reference_oracle(case):
             fit_segment(pts, cfg)
         return
     assert repr(_plain(*fit_segment(pts, cfg))) == repr(want)
+
+
+@given(_fit_cases())
+@example((_ZIGZAG, FitConfig(min_segment_points=4)))
+@example((_NOISY, FitConfig(removal_rate=0.2, removal_iters=3)))
+def test_spread_rebuilt_from_its_pairs_is_the_same_cloud(case):
+    raw, cfg = case
+    pts = [Point2(float(x), float(y)) for x, y in raw]
+    assume(len(pts) >= cfg.min_segment_points)
+    try:
+        sp = build_spread(parameterize(pts), cfg)
+    except (DegenerateSegmentError, DegenerateChordError):
+        return
+    again = CandidateSpread.from_candidates(sp.candidates)
+    assert (repr((again.mean1, again.mean2, again.radius1, again.radius2))
+            == repr((sp.mean1, sp.mean2, sp.radius1, sp.radius2)))
+    assert (prune_spread(again, cfg).candidates
+            == prune_spread(sp, cfg).candidates)
+
+
+def test_fit_builds_no_pair_and_no_radius_unread(monkeypatch):
+    def unread(*args):
+        raise AssertionError("built though nothing read it")
+
+    contour = trace_boundaries(rasterize_polygon(
+        star_polygon(random.Random(7)), 170, 170))[0]
+    monkeypatch.setattr(segment_fit, "CandidatePair", unread)
+    spline, _ = fit_outline(contour)
+    assert any(FLAG_FALLBACK not in s.flags for s in spline.segments)
+    monkeypatch.setattr(segment_fit, "_radius", unread)
+    curve, spread = fit_segment(contour.points[:40])
+    assert spread.ts and curve.p1 == spread.mean1

@@ -86,6 +86,8 @@ class ContourDocument:
 # --------------------------- portable bitmap input ---------------------------
 
 _DIGIT_BIT = bytes.maketrans(b"01", b"\0\1")
+# bytes of plain raster text stripped at a time, beside the file and pixels
+_P1_STRETCH = 1 << 16
 
 
 def _bands(buf, start: int, stride: int, count: int) -> list[list[int]]:
@@ -142,9 +144,10 @@ class _Scanner:
 
 def load_image(path: str) -> RasterImage:
     """Read a 1-bit portable bitmap (plain or raw); 1/black is the object.
-    A plain raster is decoded by whole-buffer translates.  A raw row is one
-    big-endian integer, its stride * 8 binary digits cut to width; one
-    translate per band of live rows (_bands), none for blank ones."""
+    A plain raster is decoded by translates, a stretch of its text at a
+    time.  A raw row is one big-endian integer, its stride * 8 binary
+    digits cut to width; one translate per band of live rows (_bands), none
+    for blank ones."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -169,13 +172,22 @@ def load_image(path: str) -> RasterImage:
         if len(data) - sc.pos < total:
             raise sc.error(f"truncated raster: {len(data) - sc.pos} bytes "
                            f"for {width}x{height} pixels", offset=len(data))
-        # comments cut to their line ends, separators deleted: the rest must
-        # be the pixels, 0 or 1; the byte scan runs only to word a failure
-        head, *rest = data[sc.pos:].split(b"#")
-        raster = b"".join([head, *(p.partition(b"\n")[2] for p in rest)]
-                          ).translate(None, _Scanner._WS)
-        del head, rest  # frees the copied raster text before the pixels
-        bad = len(raster) != total or raster.translate(None, b"01")
+        # comments cut to their line ends and separators deleted, one
+        # stretch of at most _P1_STRETCH bytes at a time, straight into the
+        # pixels: the rest must be 0 or 1, total of them; the byte scan runs
+        # only to word a failure
+        bits, bad, pos = bytearray(), False, sc.pos
+        while pos < len(data):
+            end = data.find(b"#", pos)
+            end = len(data) if end < 0 else end
+            for a in range(pos, end, _P1_STRETCH):
+                digits = data[a:min(end, a + _P1_STRETCH)].translate(
+                    None, _Scanner._WS)
+                bad = bad or digits.translate(None, b"01")
+                bits += digits.translate(_DIGIT_BIT)
+            nl = data.find(b"\n", end)
+            pos = len(data) if nl < 0 else nl + 1
+        bad = bad or len(bits) != total
         for count in range(total + 1 if bad else 0):
             sc.skip_separators()
             if count == total:
@@ -186,7 +198,6 @@ def load_image(path: str) -> RasterImage:
             if c not in b"01":
                 raise sc.error(f"unexpected raster byte {chr(c)!r}")
             sc.pos += 1
-        bits = bytearray(raster.translate(_DIGIT_BIT))
     else:
         # exactly one separator byte after the header, then packed rows
         if sc.pos >= len(data) or data[sc.pos] not in _Scanner._WS:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from .bezier_core import CubicBezier, Point2, _check_range
 from .errors import ConsistencyError, DomainError
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -30,145 +29,34 @@ def compression_ratio(n_points: int, n_segments: int) -> float:
     return n_points / n_segments
 
 
-def _curve_table(c: CubicBezier, samples: int) -> tuple[list[float], list[float]]:
-    """x and y of c at u = i / samples, i = 0..samples.  The four Bernstein
-    weights of each u are computed inline, for any size; no basis is kept."""
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
-    xs, ys = [], []
-    for i in range(samples + 1):
-        u = i / samples
-        v = 1.0 - u
-        b0, b1, b2, b3 = v * v * v, 3.0 * u * v * v, 3.0 * u * u * v, u * u * u
-        xs.append(b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3)
-        ys.append(b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3)
-    return xs, ys
-
-
-# Rounding pad on distances and on the sample gap, so that what a bound
-# skips is strictly farther than the best found.
+# Rounding pad on distances, so a bound skips only what is strictly farther
 _PAD_REL = 1.0 + 1e-9
 _PAD_ABS = 1e-12
-
-
-def _nearest_sample(px: float, py: float, xs: list[float], ys: list[float],
-                    gap: float, seed: int) -> tuple[int, float]:
-    """(index, squared distance) of the point's nearest grid sample.
-
-    The nearest sample is found exactly but without visiting every sample:
-    the bound starts from sample 0 and from the seed sample, and a sample at
-    distance d lets the sweep skip the next floor((d - best) / gap) samples,
-    gap being the longest chord between neighbouring samples, padded; by the
-    triangle inequality none of them can be closer.  Ties go to the first
-    sample, so the result does not depend on the seed, only the work does.
-    """
-    sqrt = math.sqrt
-    n = len(xs) - 1
-    best_i = 0
-    best = (xs[0] - px) ** 2 + (ys[0] - py) ** 2
-    d2 = (xs[seed] - px) ** 2 + (ys[seed] - py) ** 2
-    if d2 < best:
-        best_i, best = seed, d2
-    reach = sqrt(best) * _PAD_REL + _PAD_ABS
-    i = 1
-    while i <= n:
-        d2 = (xs[i] - px) ** 2 + (ys[i] - py) ** 2
-        if d2 < best or d2 == best and i < best_i:
-            best_i, best = i, d2
-            reach = sqrt(d2) * _PAD_REL + _PAD_ABS
-            i += 1
-            continue
-        skip = (sqrt(d2) - reach) / gap
-        i += 1 + int(skip) if skip >= 1.0 else 1
-    return best_i, best
-
-
-def _downhill_samples(pts, xs: list[float], ys: list[float], seed: int):
-    """(index, squared distance) of a grid sample near each point, found by
-    walking from the previous point's sample to neighbours while they are
-    closer.  The walk can stop at a local minimum, so its distance is an
-    upper bound on the nearest sample's, in the same arithmetic."""
-    n = len(xs) - 1
-    s = seed
-    for px, py in pts:
-        d2 = (xs[s] - px) ** 2 + (ys[s] - py) ** 2
-        while s < n:
-            e = (xs[s + 1] - px) ** 2 + (ys[s + 1] - py) ** 2
-            if not e < d2:
-                break
-            s, d2 = s + 1, e
-        while s > 0:
-            e = (xs[s - 1] - px) ** 2 + (ys[s - 1] - py) ** 2
-            if not e < d2:
-                break
-            s, d2 = s - 1, e
-        yield s, d2
-
-
-def _refine(c: CubicBezier, n: int, px: float, py: float,
-            best_i: int, best: float) -> float:
-    """Golden section over the grid intervals either side of sample best_i.
-
-    best is that sample's squared distance; the result is the smallest
-    squared distance seen, so it is never above best.  The cubic is
-    evaluated in blend/evaluate's operation order.
-    """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
-
-    def d2(u: float) -> float:
-        v = 1.0 - u
-        vv = v * v
-        uu = u * u
-        b0 = v * vv
-        b1 = 3.0 * u * vv
-        b2 = 3.0 * uu * v
-        b3 = u * uu
-        return ((b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px) ** 2
-                + (b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py) ** 2)
-
-    a = (best_i - 1) / n if best_i > 0 else 0.0
-    b = (best_i + 1) / n if best_i < n else 1.0
-    u1 = b - _INV_GOLDEN * (b - a)
-    u2 = a + _INV_GOLDEN * (b - a)
-    f1 = d2(u1)
-    f2 = d2(u2)
-    best = min(best, f1, f2)
-    for _ in range(60):
-        if b - a < 1e-12:
-            break
-        if f1 <= f2:
-            b, u2, f2 = u2, u1, f1
-            u1 = b - _INV_GOLDEN * (b - a)
-            f = f1 = d2(u1)
-        else:
-            a, u1, f1 = u1, u2, f2
-            u2 = a + _INV_GOLDEN * (b - a)
-            f = f2 = d2(u2)
-        if f < best:
-            best = f
-    return best
-
 
 # Newton evaluations per point at most.  On the benchmark's seed-1 pools
 # points took three on average, and 5 of 45,887 did not converge in eight.
 _NEWTON_STEPS = 8
 
+# The piece search stops once no piece can come closer than this (px) below
+# the best distance found; no piece is halved past this depth.
+_GAP = 1e-9
+_MAX_DEPTH = 52
 
-def _certified(c: CubicBezier, n: int, table=None):
-    """Distance to c, as a function (px, py, u) -> (distance, end u).
 
-    Newton's method on (B(u) - p) . B'(u) = 0 (Schneider, Graphics Gems,
-    1990) clamps each step to [0, 1] and stops when one moves u by less than
-    1e-12.  B' is a convex combination of 3 (P[k+1] - P[k]) (Sederberg and
-    Nishita, CAD 1990), so with e the unit chord and lip = 3 min_k
-    (P[k+1] - P[k]) . e, |B(u) - B(v)| >= lip |u - v|.  When lip > 0, each
-    u farther than 2 d0 / lip from the result u0, at distance d0, is
-    farther from p than d0; u0 is the minimum if the Taylor terms of f'' at
-    u0 (f = |B - p|^2) show f convex within that radius, padded.  Any other
-    point (lip <= 0, coincident ends, no convergence, a failed, NaN or
-    infinite bound) takes the grid distance: the first nearest of n + 1
-    uniform samples (_nearest_sample; table, or built at the first such
-    point), refined by golden section (_refine).  It is never below the
-    minimum, but above it where that sample is outside the minimum's basin.
+def _certified(c, whole: bool = True):
+    """Distance to the cubic c, as a function (px, py, u) -> (distance,
+    end u), by Newton's method on (B(u) - p) . B'(u) = 0 from u (Schneider,
+    Graphics Gems, 1990), each step clamped to [0, 1], the last under 1e-12.
+    Its u0, at distance d0, is the minimum if the Taylor terms of f'' at u0
+    (f = |B - p|^2) show f convex within a radius r of u0, padded, beyond
+    which no parameter comes as close as d0.  B' is a convex combination of
+    3 (P[k+1] - P[k]) (Sederberg and Nishita, CAD 1990): with e the unit
+    chord and lip = 3 min_k (P[k+1] - P[k]) . e, |B(u) - B(v)| >=
+    lip |u - v|.  No parameter lies farther than max(u0, 1 - u0), so r is
+    that or, where lip > 0, 2 d0 / lip if less.  On a whole curve, a point
+    it cannot certify (no convergence, a failed, NaN or infinite bound)
+    takes the piece search (_nearest) over c's tree of de Casteljau halves,
+    built at the first such point and kept for the rest; a piece gives None.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # T = B'/3 = vv*d0 + 2uv*d1 + uu*d2, E = B''/6 = v*e0 + u*e1 and
@@ -184,12 +72,11 @@ def _certified(c: CubicBezier, n: int, table=None):
     chord = math.hypot(cx, cy)
     lip = 3.0 * min(dx0 * cx + dy0 * cy, dx1 * cx + dy1 * cy,
                     dx2 * cx + dy2 * cy) / chord if chord > 0.0 else 0.0
-    steps = _NEWTON_STEPS if lip > 0.0 else 0
     sqrt = math.sqrt
-    grid = []   # xs, ys and their sample gap, once a point needs them
+    tree = []   # the root piece, once a point needs it
 
-    def distance(px: float, py: float, u: float) -> tuple[float, float]:
-        for _ in range(steps):
+    def distance(px: float, py: float, u: float):
+        for _ in range(_NEWTON_STEPS):
             v = 1.0 - u
             vv = v * v
             uu = u * u
@@ -220,7 +107,10 @@ def _certified(c: CubicBezier, n: int, table=None):
             w = 3.0 * (t - u)
             d = sqrt((qx + w * tx) ** 2 + (qy + w * ty) ** 2)
             u = t
-            r = 2.0 * d / lip * _PAD_REL + _PAD_ABS
+            r = 2.0 * d / lip if lip > 0.0 else 2.0
+            if r > 0.5:   # no parameter lies farther than max(u, 1 - u)
+                r = min(r, max(u, 1.0 - u))
+            r = r * _PAD_REL + _PAD_ABS
             # f''/6 falls by less than this within r: f''' to f'''''' / 6
             slack = r * (
                 abs(18.0 * (tx * sx + ty * sy) + 2.0 * (qx * fx + qy * fy))
@@ -230,25 +120,104 @@ def _certified(c: CubicBezier, n: int, table=None):
             if h > slack:   # fails on a NaN or infinite bound
                 return d, u
             break
-        if not grid:
-            xs, ys = table or _curve_table(c, n)
-            gap = max(map(math.dist, zip(xs, ys), zip(xs[1:], ys[1:])))
-            grid.extend((xs, ys, gap * _PAD_REL + _PAD_ABS))
-        xs, ys, gap = grid
-        i, d2 = _nearest_sample(px, py, xs, ys, gap, int(u * n + 0.5))
-        return sqrt(_refine(c, n, px, py, i, d2)), i / n
+        if not whole:
+            return None
+        if not tree:
+            tree.append(_Piece(c, 0.0, 1.0, 0))
+        return _nearest(tree[0], px, py, math.hypot(qx, qy), u)
 
     return distance
 
 
+def _mid(p, q):
+    return 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
+
+
+class _Piece:
+    """The part of a cubic for u in [a, b], as its own cubic c over [0, 1]:
+    its chord P0P3, its flatness (the larger distance of P1 and P2 to that
+    chord; the piece lies in their hull, so no point of it is farther from
+    the chord), its Newton measure, and its de Casteljau halves, built on
+    first need."""
+
+    __slots__ = ("c", "a", "b", "depth", "x0", "y0", "cx", "cy", "cc",
+                 "flat", "solve", "kids")
+
+    def __init__(self, c, a, b, depth):
+        (x0, y0), p1, p2, (x3, y3) = c
+        self.c, self.a, self.b, self.depth = c, a, b, depth
+        self.x0, self.y0, self.cx, self.cy = x0, y0, x3 - x0, y3 - y0
+        self.cc = self.cx * self.cx + self.cy * self.cy
+        self.flat = max(self.bound(*p1)[0], self.bound(*p2)[0])
+        self.solve = _certified(c, whole=False)
+        self.kids = None
+
+    def bound(self, px, py):
+        """(distance, parameter) of (px, py)'s nearest point on the chord."""
+        x0, y0, cx, cy, cc = self.x0, self.y0, self.cx, self.cy, self.cc
+        t = ((px - x0) * cx + (py - y0) * cy) / cc if cc > 0.0 else 0.0
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        return math.hypot(px - x0 - t * cx, py - y0 - t * cy), t
+
+    def halves(self):
+        """The pieces for [a, m] and [m, b], m the middle parameter."""
+        if self.kids is None:
+            p0, p1, p2, p3 = self.c
+            a, b, e = _mid(p0, p1), _mid(p1, p2), _mid(p2, p3)
+            f, g = _mid(a, b), _mid(b, e)
+            mid = _mid(f, g)
+            m, k = 0.5 * (self.a + self.b), self.depth + 1
+            self.kids = (_Piece((p0, a, f, mid), self.a, m, k),
+                         _Piece((mid, g, e, p3), m, self.b, k))
+        return self.kids
+
+
+def _nearest(root: _Piece, px: float, py: float, best: float,
+             best_u: float) -> tuple[float, float]:
+    """(distance, u) of the point of root's curve nearest to (px, py), never
+    below the minimum and at most _GAP above it, up to rounding.  best, at
+    best_u, is a distance found already, where root's own Newton measure
+    failed, so root is halved at once.  Pieces are visited best first by a
+    lower bound, their distance to the chord less their flatness (compare
+    Chen et al., CAD 2008), each measured from best_u if it holds that, else
+    from the chord's nearest point.  A certified piece gives its minimum;
+    any other is halved, and the halves' shared end is a distance too, until
+    no piece left can come _GAP closer than the best found.
+    """
+    # pieces in the heap are disjoint, so no two share a start a
+    heap = [(-math.inf, root.a, 0.0, root)]
+    while heap:
+        lb, _, t, piece = heapq.heappop(heap)
+        if lb >= best - _GAP:
+            break
+        if piece.a <= best_u <= piece.b:
+            t = (best_u - piece.a) / (piece.b - piece.a)
+        got = None if piece is root else piece.solve(px, py, t)
+        if got is not None:
+            if got[0] < best:
+                best, best_u = got[0], piece.a + got[1] * (piece.b - piece.a)
+            continue
+        if piece.depth == _MAX_DEPTH:
+            continue
+        low, high = piece.halves()
+        d = math.hypot(high.x0 - px, high.y0 - py)
+        if d < best:
+            best, best_u = d, high.a
+        for half in low, high:
+            lb, t = half.bound(px, py)
+            if lb - half.flat < best - _GAP:
+                heapq.heappush(heap, (lb - half.flat, half.a, t, half))
+    return best, best_u
+
+
 def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     """Distance of every point in pts to the curve c, as the report takes it:
-    _certified's measure, falling back on max(256, 4 * len(pts)) samples,
-    each point started one parameter step past the previous point's.  A
-    coordinate not finite or not below 1e153 in size is a DomainError.
+    _certified's measure, each point started one parameter step past the
+    previous point's.  A coordinate not finite or not below 1e153 in size
+    is a DomainError.
     """
     _check_range((*c, *pts))
-    distance = _certified(c, max(256, 4 * len(pts)))
+    distance = _certified(c)
     out = []
     u = prev = 0.0
     for px, py in pts:
@@ -258,6 +227,36 @@ def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     return out
 
 
+def _chain(c: CubicBezier, pts, u: float):
+    """(u, bound) per point of pts: bound is its distance to c at the
+    parameter carried on as curve_distances carries it (u at the first
+    point), and u that parameter moved one Newton step, to start from."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    dx0, dy0 = x1 - x0, y1 - y0
+    dx1, dy1 = x2 - x1, y2 - y1
+    dx2, dy2 = x3 - x2, y3 - y2
+    ex0, ey0 = dx1 - dx0, dy1 - dy0
+    ex1, ey1 = dx2 - dx1, dy2 - dy1
+    prev = u
+    for px, py in pts:
+        u, prev = u + (u - prev), u
+        u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
+        v = 1.0 - u
+        vv, uu, uv2 = v * v, u * u, 2.0 * u * v
+        b0, b1, b2, b3 = v * vv, 3.0 * u * vv, 3.0 * uu * v, u * uu
+        qx = b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - px
+        qy = b0 * y0 + b1 * y1 + b2 * y2 + b3 * y3 - py
+        tx = vv * dx0 + uv2 * dx1 + uu * dx2
+        ty = vv * dy0 + uv2 * dy1 + uu * dy2
+        h = 3.0 * (tx * tx + ty * ty) + 2.0 * (qx * (v * ex0 + u * ex1)
+                                               + qy * (v * ey0 + u * ey1))
+        bound = math.hypot(qx, qy)
+        if h > 0.0:
+            u -= (qx * tx + qy * ty) / h
+            u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
+        yield u, bound
+
+
 def farthest(pts: list[Point2], c: CubicBezier, lo: int,
              hi: int) -> tuple[int, float]:
     """First index of the largest distance in pts[lo:hi], and that
@@ -265,31 +264,31 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     point, and with max_error set also the test of that distance against
     the bound.  An out-of-range coordinate is a DomainError (_check_range).
 
-    Each point takes _certified's measure, started at the sample s / n
-    where a downhill walk along the max(256, 4 * len(pts)) + 1 samples
-    stops (_downhill_samples), at squared distance ub; points are visited
-    by falling ub, equal bounds and ties in index order.  A grid distance is
-    at most sqrt(ub) exactly.  A certified one rounds the minimum, at most
-    the sample's distance, which sqrt(ub) rounds, each within a few ulps of
-    the largest coordinate in play: sqrt(ub) plus the largest control one
-    at most, as samples lie in the control hull.  The pad, 1e-9 of sqrt(ub)
-    plus 1e-13 of that control coordinate plus 1e-12, covers both, so the
-    first point whose padded sqrt(ub) is below the best ends the search.
+    The parameter is carried from point to point (_chain), from lo's share
+    along the curve; each point's bound is its distance to the curve point
+    there.  Points are visited by falling bound (a stable sort), each
+    measured by _certified from its chain parameter.  The measure is at
+    most the minimum plus _GAP, and the minimum at most the bound, each
+    rounded within a few ulps of the largest coordinate in play (the bound
+    plus the largest control one at most).  The pad, 1e-9 of the bound plus
+    1e-13 of that control coordinate plus 1e-12 px plus _GAP, covers both,
+    so the first point whose padded bound is below the best ends the
+    search.  A distance within that rounding of 0 counts as 0: points the
+    curve passes through tie.
     """
     _check_range((*c, *pts))
-    n = max(256, 4 * len(pts))
-    xs, ys = _curve_table(c, n)
-    distance = _certified(c, n, (xs, ys))
-    pad = 1e-13 * max(abs(v) for p in c for v in p) + _PAD_ABS
-    # points run along the curve, so the walk starts lo's share along it
-    walk = _downhill_samples(pts[lo:hi], xs, ys, n * lo // len(pts))
-    # sorted is stable, so equal bounds keep index order
-    order = sorted(enumerate(walk, lo), key=lambda jw: jw[1][1], reverse=True)
+    distance = _certified(c)
+    floor = 1e-13 * max(abs(v) for p in c for v in p) + _PAD_ABS
+    pad = floor + _GAP
+    bounds = list(enumerate(_chain(c, pts[lo:hi], lo / len(pts)), lo))
+    bounds.sort(key=lambda jb: jb[1][1], reverse=True)
     best_i, best = lo, -1.0
-    for j, (s, ub) in order:
-        if math.sqrt(ub) * _PAD_REL + pad < best:
+    for j, (u, bound) in bounds:
+        if bound * _PAD_REL + pad < best:
             break
-        d = distance(*pts[j], s / n)[0]
+        d = distance(*pts[j], u)[0]
+        if d <= floor:
+            d = 0.0
         if d > best or d == best and j < best_i:
             best_i, best = j, d
     return best_i, best

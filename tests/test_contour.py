@@ -383,6 +383,21 @@ def test_loader_holds_only_the_page_and_the_file(tmp_path):
     assert peak < 1.25 * page.width * page.height
 
 
+def test_plain_loader_holds_the_file_and_the_pixels_only(tmp_path):
+    # the plain decode strips the raster text a stretch at a time, with no
+    # copy of the whole text and no second page: about the file plus the
+    # page, which is half the file here
+    page = filled_rect_image(1000, 800, 100, 150, 599, 449)
+    lines = pbm_plain_bytes(page).split(b"\n")
+    lines[1] += b" # a comment after the size"
+    lines[400] += b"# a comment with 0 and 1 in it"
+    path = tmp_path / "plain.pbm"
+    path.write_bytes(b"\n".join(lines))
+    img, peak = _traced_peak(load_image, path)
+    assert img.bits == page.bits
+    assert peak < 2.2 * path.stat().st_size
+
+
 # ----------------------------- contour documents -----------------------------
 
 

@@ -17,7 +17,7 @@ from beziertrace.subdivision import (FLAG_DEPTH_CAPPED, FLAG_FALLBACK,
                                      FittedSegment, Spline, fit_outline,
                                      fit_recursive, split_point)
 
-from _reference import reference_curve_distances
+from _reference import reference_curve_distances, reference_distance
 from helpers import (chord_aligned_cubic, filled_rect_image, rasterize_polygon,
                      star_polygon, uniform_samples)
 
@@ -59,8 +59,8 @@ def test_point_deviation_matches_brute_force():
 
 
 def test_distance_to_a_steep_cubic_is_its_minimum():
-    # the nearest of 256 samples lies outside the true minimum's basin, and
-    # the grid distance reads 2.51 px for this point on it
+    # the nearest of 256 uniform samples lies outside the true minimum's
+    # basin, so a sample grid refined near it reads 2.51 px for this point
     c = CubicBezier(Point2(0, 0), Point2(0.6148, -925.61),
                     Point2(2.3242, -993.02), Point2(3, 0))
     p = Point2(0.24400, -277.74395)
@@ -69,7 +69,7 @@ def test_distance_to_a_steep_cubic_is_its_minimum():
 
 
 def test_split_search_reads_a_steep_cubic_at_its_minimum():
-    # the grid distance read 2.51 px for this point, and 2.29 px for the
+    # a 256-sample grid reads 2.51 px for this point, and 2.29 px for the
     # worst point of the run below, whose fit is within 0.21 px of it
     c = CubicBezier(Point2(0, 0), Point2(0.6148, -925.61),
                     Point2(2.3242, -993.02), Point2(3, 0))
@@ -79,6 +79,83 @@ def test_split_search_reads_a_steep_cubic_at_its_minimum():
     (piece,) = fit_recursive(run, cfg)
     assert max(_brute_force_distance(p, piece.curve, samples=20_000)
                for p in run) < 0.21
+
+
+_STEEP = CubicBezier(Point2(0, 0), Point2(0.6148, -925.61),
+                     Point2(2.3242, -993.02), Point2(3, 0))
+
+
+def _distance_tolerance(c, pts):
+    """The largest gap allowed between a distance and the oracle's minimum:
+    the piece search's 1e-9 px, plus 1e-13 of the largest coordinate for
+    rounding."""
+    return 1e-9 + 1e-13 * max(abs(v) for p in (*c, *pts) for v in p)
+
+
+@st.composite
+def _distance_cases(draw):
+    """(curve, points): a random cubic; one whose control polygon turns back
+    along its chord (lip <= 0); one with coincident ends; or a steep one,
+    whose handles reach up to 100 chord lengths sideways.  Up to 12 points
+    on it, near it or up to 50 px off it."""
+    xy = st.floats(-300, 300)
+    a, b = Point2(draw(xy), draw(xy)), Point2(draw(xy), draw(xy))
+    kind = draw(st.sampled_from(("random", "turns-back", "coincident",
+                                 "steep")))
+    if kind in ("random", "coincident"):
+        c = CubicBezier(a, Point2(draw(xy), draw(xy)),
+                        Point2(draw(xy), draw(xy)), a if kind == "coincident"
+                        else b)
+    elif kind == "turns-back":
+        s1, s2 = sorted((draw(st.floats(0.01, 0.99)),
+                         draw(st.floats(0.01, 0.99))))
+        c = _monotone_cubic(a, b, s2 + 0.5, s1 - 0.5, draw(st.floats(-1, 1)),
+                            draw(st.floats(-1, 1)))
+    else:
+        k = draw(st.floats(0.001, 0.05))
+        b = Point2(a.x + k * (b.x - a.x), a.y + k * (b.y - a.y))
+        c = _monotone_cubic(a, b, draw(st.floats(0, 1)), draw(st.floats(0, 1)),
+                            draw(st.floats(-100, 100)),
+                            draw(st.floats(-100, 100)))
+    pts = []
+    for _ in range(draw(st.integers(1, 12))):
+        q = evaluate(c, draw(st.floats(0, 1)))
+        off = draw(st.sampled_from((0.0, 0.5, 5.0, 50.0)))
+        pts.append(Point2(q.x + draw(st.floats(-off, off)),
+                          q.y + draw(st.floats(-off, off))))
+    return c, pts
+
+
+@given(_distance_cases())
+@example((_STEEP, [Point2(0.24400, -277.74395)]))
+def test_distances_are_the_oracle_minimum(case):
+    # the report's distance and the split search's are each within the
+    # tolerance of the minimum, above it or below it, and the split search
+    # keeps a point whose minimum is within twice that of the largest
+    c, pts = case
+    tol = _distance_tolerance(c, pts)
+    want = reference_curve_distances(pts, c)
+    assert all(abs(d - w) <= tol for d, w in
+               zip(curve_distances(pts, c), want, strict=True))
+    for j, w in enumerate(want):
+        assert abs(farthest(pts, c, j, j + 1)[1] - w) <= tol
+    i, d = farthest(pts, c, 0, len(pts))
+    assert abs(d - max(want)) <= tol and want[i] >= max(want) - 2 * tol
+
+
+@pytest.mark.parametrize("m", [12, 40])
+def test_steep_fits_read_their_minimum_in_report_and_split_search(m):
+    # a fit of m samples of the steep cubic: started on the curve's other
+    # branch, about 2 px away, the report read 1.47 px at m = 12 and the
+    # split search 2.34 px at m = 40, above minima of at most 0.17 px
+    run = uniform_samples(_STEEP, m)
+    fit = fit_segment(run, FitConfig())[0]
+    want = [reference_distance(p, fit) for p in run]
+    for d, w in zip(curve_distances(run, fit), want, strict=True):
+        assert abs(d - w) <= 1e-5
+    i, d = farthest(run, fit, 1, m - 1)
+    assert abs(d - max(want[1:-1])) <= 1e-5
+    assert want[i] >= max(want[1:-1]) - 1e-5
 
 
 def test_point_deviation_lipschitz():
@@ -108,7 +185,7 @@ def _two_cubic_spline():
 def _oracle_cases():
     """(curve, points) pairs: random cubics, a self-crossing loop, a cusp,
     four equal control points and a collinear cubic whose points sit
-    exactly halfway between two grid samples."""
+    exactly halfway between two of its points at u = i / 256."""
     rng = random.Random(21)
     curves = [_random_curve(rng) for _ in range(6)]
     curves += [
@@ -123,15 +200,13 @@ def _oracle_cases():
             pts = [Point2(round(p.x + rng.uniform(-4, 4)),
                           round(p.y + rng.uniform(-4, 4))) for p in pts]
             cases.append((c, pts))
-    # with 256 samples this cubic's grid is x = 6i exactly, so each point
-    # below is equally near samples i and i + 1; in reverse order the seed
-    # is sample i + 1, and on the line the skip bound lands on sample i
+    # this cubic is x = 1536 u, so u = i / 256 falls on x = 6i exactly, and
+    # each point below lies halfway between two of those
     line = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
                        Point2(1536, 0))
     cases.append((line, [Point2(6 * i + 3, 0) for i in range(100, 160)]))
     cases.append((line, [Point2(6 * i + 3, 2) for i in range(0, 255, 7)]))
-    # near the range bound: squared distances reach ~1e306, and the sweep
-    # still skips samples
+    # near the range bound: squared distances reach ~1e306
     cases.append((_huge_curve(1 / 20), [Point2(7 + i, 6) for i in range(20)]
                   + [Point2(1.5e152, 1e152)]))
     return cases
@@ -178,9 +253,8 @@ def test_farthest_matches_full_pass():
 def _farthest_cases(draw):
     """(points, curve, lo, hi): a random cubic with a run of rounded noisy
     samples along it, or of repeats of a few points, or a straight cubic
-    whose points lie on grid samples or halfway between two, all at one
-    offset from it, so that every refined distance ties while the
-    nearest-sample distances differ; in order, reversed or shuffled."""
+    whose points lie at x = 6i or halfway between, all at one offset from
+    it, so that every distance ties; in order, reversed or shuffled."""
     controls = draw(st.lists(st.floats(-300, 300), min_size=8, max_size=8))
     c = CubicBezier(*[Point2(controls[k], controls[k + 1])
                       for k in range(0, 8, 2)])
@@ -197,7 +271,7 @@ def _farthest_cases(draw):
                 for _ in range(draw(st.integers(1, 3)))]
         pts = [rnd.choice(pool) for _ in range(m)]
     else:
-        # 256 samples of this line fall on x = 6i exactly
+        # u = i / 256 on this line falls on x = 6i exactly
         c = CubicBezier(Point2(0, 0), Point2(512, 0), Point2(1024, 0),
                         Point2(1536, 0))
         y = draw(st.integers(0, 5))
@@ -225,55 +299,49 @@ def test_farthest_matches_full_pass_on_random_runs(case):
 
 def test_farthest_sweeps_few_points_exactly(monkeypatch):
     # the closed-form fit of a noisy half circle turns back along its chord
-    # (lip <= 0), so every point farthest measures takes the grid fallback
-    # and sweeps the samples: its break must leave nearly all unmeasured
-    nearest = metrics._nearest_sample
-    swept = []
-
-    def counting(*args):
-        swept.append(args)
-        return nearest(*args)
-
+    # (lip <= 0), so every point farthest measures takes the piece search:
+    # its break must leave nearly all unmeasured
     rng = random.Random(8)
     pts = [Point2(150.0 - 150.0 * math.cos(math.pi * k / 499)
                   + rng.uniform(-2, 2),
                   -150.0 * math.sin(math.pi * k / 499) + rng.uniform(-2, 2))
            for k in range(500)]
     fit = fit_segment(pts, FitConfig())[0]
-    monkeypatch.setattr(metrics, "_nearest_sample", counting)
-    got = farthest(pts, fit, 1, len(pts) - 1)
-    pruned = len(swept)
-    want = _unpruned_farthest(pts, fit, 1, len(pts) - 1)
-    assert len(swept) - pruned == len(pts) - 2  # no point is certified
-    assert 0 < pruned <= 0.03 * len(pts)
+    got, searched = _piece_search(
+        monkeypatch, lambda: farthest(pts, fit, 1, len(pts) - 1))
+    want, every = _piece_search(
+        monkeypatch, lambda: _unpruned_farthest(pts, fit, 1, len(pts) - 1))
+    assert len(every) == len(pts) - 2  # no point is certified
+    assert 0 < len(searched) <= 0.03 * len(pts)
     assert got == want
 
 
 def _unpruned_farthest(pts, c, lo, hi):
     """farthest without its break: every point of pts[lo:hi] measured from
-    the sample its walk stops at, and the first largest distance kept."""
-    n = max(256, 4 * len(pts))
-    xs, ys = metrics._curve_table(c, n)
-    distance = metrics._certified(c, n, (xs, ys))
-    walk = metrics._downhill_samples(pts[lo:hi], xs, ys, n * lo // len(pts))
-    dists = [distance(*p, s / n)[0] for p, (s, _) in zip(pts[lo:hi], walk)]
+    its chain parameter, a distance within rounding of zero taken as zero,
+    and the first largest distance kept."""
+    distance = metrics._certified(c)
+    floor = 1e-13 * max(abs(v) for p in c for v in p) + 1e-12
+    dists = [distance(*p, u)[0] for p, (u, _) in
+             zip(pts[lo:hi], metrics._chain(c, pts[lo:hi], lo / len(pts)))]
+    dists = [d if d > floor else 0.0 for d in dists]
     i = max(range(len(dists)), key=dists.__getitem__)
     return lo + i, dists[i]
 
 
 def _off_samples(c, n, picks, h):
-    """Grid samples picks of c's n + 1, each moved h px along c's normal
-    there, so that the sample is the point's nearest and the walk's bound
-    and the certified distance both round h."""
+    """The curve points at u = s / n for s in picks, each moved h px along
+    c's normal there, so that the curve point is the point's nearest and
+    its distance rounds h."""
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
-    xs, ys = metrics._curve_table(c, n)
     pts = []
     for s in picks:
         u, v = s / n, 1.0 - s / n
+        x, y = evaluate(c, u)
         tx = v * v * (x1 - x0) + 2 * u * v * (x2 - x1) + u * u * (x3 - x2)
         ty = v * v * (y1 - y0) + 2 * u * v * (y2 - y1) + u * u * (y3 - y2)
         k = h / math.hypot(tx, ty) if tx or ty else 0.0
-        pts.append(Point2(xs[s] - k * ty, ys[s] + k * tx))
+        pts.append(Point2(x - k * ty, y + k * tx))
     return pts
 
 
@@ -281,10 +349,10 @@ def _off_samples(c, n, picks, h):
 def _split_cases(draw):
     """(points, curve, lo, hi): a case of _farthest_cases; a noisy run along
     a cubic the bound cannot certify, with coincident ends or with a
-    control polygon that turns back along its chord (lip <= 0); or grid
-    samples of a cubic it can certify, all moved one distance of up to
-    3 px along the normal (_off_samples), so that every distance ties up
-    to rounding; forward or reversed."""
+    control polygon that turns back along its chord (lip <= 0); or curve
+    points at uniform parameters of a cubic it can certify, all moved one
+    distance of up to 3 px along the normal (_off_samples), so that every
+    distance ties up to rounding; forward or reversed."""
     kind = draw(st.sampled_from(("farthest", "coincident", "turns-back",
                                  "off-samples")))
     if kind == "farthest":
@@ -328,23 +396,46 @@ def test_farthest_is_a_largest_certified_distance(case):
     assert (i, d) == _unpruned_farthest(*case)
 
 
-def _basis_table(c, samples):
-    """The sample table in its basis form: the four Bernstein weights of
-    every u first, then each coordinate as their sum of products."""
-    us = [i / samples for i in range(samples + 1)]
-    basis = [(v * v * v, 3.0 * u * v * v, 3.0 * u * u * v, u * u * u)
-             for u, v in zip(us, [1.0 - u for u in us])]
-    return tuple([b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3
-                  for b0, b1, b2, b3 in basis] for p0, p1, p2, p3 in zip(*c))
+def _de_casteljau_halves(c):
+    """The halves of the cubic c at u = 1/2, by the midpoints of its control
+    polygon, of those midpoints, and of theirs."""
+    def mid(p, q):
+        return 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
+    p01, p12, p23 = mid(c[0], c[1]), mid(c[1], c[2]), mid(c[2], c[3])
+    p012, p123 = mid(p01, p12), mid(p12, p23)
+    m = mid(p012, p123)
+    return (tuple(c[0]), p01, p012, m), (m, p123, p23, tuple(c[3]))
 
 
-@given(st.integers(1, 5000),
-       st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8))
-@example(256, [0.0, 0.0, 0.6148, -925.61, 2.3242, -993.02, 3.0, 0.0])
-def test_curve_table_is_the_basis_form_bit_for_bit(samples, coords):
+@given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8),
+       st.lists(st.booleans(), max_size=16), st.floats(-2e6, 2e6),
+       st.floats(-2e6, 2e6))
+@example([0.0, 0.0, 0.6148, -925.61, 2.3242, -993.02, 3.0, 0.0],
+         [False, True, True, False], 0.244, -277.74395)
+@example([0.0, 0.0, 512.0, 0.0, 1024.0, 0.0, 1536.0, 0.0], [True] * 8,
+         1500.0, 0.0)
+def test_pieces_are_de_casteljau_halves_that_bound_their_arcs(coords, path,
+                                                               px, py):
+    # down a random path of halves: each pair is built once and kept, is
+    # the de Casteljau split bit for bit, and splits the parameter range at
+    # its middle; and no point of a piece's arc is closer to (px, py) than
+    # its chord distance less its flatness, up to rounding
     c = CubicBezier(*map(Point2, coords[::2], coords[1::2]))
-    assert repr(metrics._curve_table(c, samples)) == \
-        repr(_basis_table(c, samples))
+    tol = 1e-13 * (max(map(abs, coords)) + abs(px) + abs(py)) + 1e-12
+    piece = metrics._Piece(c, 0.0, 1.0, 0)
+    for right in [False, *path]:
+        low, high = halves = piece.halves()
+        assert piece.halves() is halves
+        assert repr(tuple(tuple(map(tuple, h.c)) for h in halves)) \
+            == repr(_de_casteljau_halves(piece.c))
+        m = 0.5 * (piece.a + piece.b)
+        assert (low.a, low.b, high.a, high.b) == (piece.a, m, m, piece.b)
+        assert low.depth == high.depth == piece.depth + 1
+        lb = piece.bound(px, py)[0] - piece.flat
+        for k in range(33):
+            q = evaluate(c, piece.a + (piece.b - piece.a) * k / 32)
+            assert lb <= math.hypot(q.x - px, q.y - py) + tol
+        piece = halves[right]
 
 
 def _out_of_range_cases():
@@ -487,13 +578,12 @@ def _control_run(controls, m, noise, seed):
 
 
 @given(_runs())
-# points on the curve, at and between the grid samples
+# points on the curve, at u = k / 8 and between
 @example((_ARCH, uniform_samples(_ARCH, 9) + [evaluate(_ARCH, 0.3071)]))
 # points beyond both ends, nearest to an end point
 @example((_ARCH, [Point2(-9, -4), Point2(-1, 2), Point2(50, 61),
                   Point2(103, 5), Point2(120, -30)]))
-# a straight cubic whose 256 samples fall on x = 6i; each point is equally
-# near two samples
+# a straight cubic, x = 1536 u, with points halfway between u = i / 256
 @example((_LINE, [Point2(6 * i + 3, 0) for i in range(100, 160)]))
 # an S whose control steps all move forward along the chord: from the
 # start, u = 0, Newton stops at that end, 10.05 px from (-1, 10), a local
@@ -515,7 +605,7 @@ def _control_run(controls, m, noise, seed):
 @example((_HUGE, [Point2(p.x + (-1) ** i * 1e151, p.y + 1e151)
                   for i, p in enumerate(uniform_samples(_HUGE, 12))]))
 # two curves whose ends all but stop.  A vertical line turns back just
-# before its end, so the point (0, 0), between the last two samples, is on
+# before its end, so the point (0, 0), at u = 0.9972, is on
 # it, but f'' < 0 at u = 1.  The other's end at (0, 0) is a local minimum
 # of the distance from (1, 0), and 3.4e-9 px lower lies another
 @example(_control_run([0.0, 1.0, 0.0, 171.0, 0.0, 0.0, 0.0, -0.00390625],
@@ -527,19 +617,19 @@ def test_segment_distances_match_full_scan_oracle_on_random_runs(run):
     assert _near(curve_distances(pts, c), reference_curve_distances(pts, c))
 
 
-def _grid_path(monkeypatch, measure):
-    """measure() and the points it sent to the grid path."""
-    nearest = metrics._nearest_sample
-    swept = []
+def _piece_search(monkeypatch, measure):
+    """measure() and the points it sent to the piece search."""
+    nearest = metrics._nearest
+    searched = []
 
-    def counting(px, py, *args):
-        swept.append(Point2(px, py))
-        return nearest(px, py, *args)
+    def counting(root, px, py, *found):
+        searched.append(Point2(px, py))
+        return nearest(root, px, py, *found)
 
-    monkeypatch.setattr(metrics, "_nearest_sample", counting)
+    monkeypatch.setattr(metrics, "_nearest", counting)
     got = measure()
     monkeypatch.undo()
-    return got, swept
+    return got, searched
 
 
 @pytest.mark.parametrize("c, pts", [
@@ -557,11 +647,12 @@ def _grid_path(monkeypatch, measure):
     (_ARCH, [Point2(0, -15)]),
     (_ARCH, [Point2(20, 5)]),
 ], ids=["coincident-ends", "doubles-back", "below-arch", "inside-arch"])
-def test_points_the_bound_cannot_certify_take_the_grid_path(monkeypatch, c,
-                                                            pts):
-    got, swept = _grid_path(monkeypatch, lambda: curve_distances(pts, c))
-    assert swept == pts
-    assert got == reference_curve_distances(pts, c)
+def test_points_the_bound_cannot_certify_take_the_piece_search(monkeypatch,
+                                                               c, pts):
+    got, searched = _piece_search(monkeypatch,
+                                  lambda: curve_distances(pts, c))
+    assert searched == pts
+    assert _near(got, reference_curve_distances(pts, c))
 
 
 def _stars_and_ellipse():
@@ -577,16 +668,55 @@ def _stars_and_ellipse():
     return loops
 
 
-def test_spline_errors_takes_the_grid_path_for_few_points(monkeypatch):
+def test_spline_errors_takes_the_piece_search_for_few_points(monkeypatch):
     # traced stars and a long ellipse, fitted with the defaults; the
-    # certificate left 1 of their 4712 points to the grid here
+    # certificate left 1 of their 4712 points to the piece search here
     loops = _stars_and_ellipse()
     pairs = [(loop, fit_outline(loop)[0]) for loop in loops]
-    _, swept = _grid_path(monkeypatch, lambda: [spline_errors(*pair)
-                                                for pair in pairs])
+    _, searched = _piece_search(monkeypatch, lambda: [spline_errors(*pair)
+                                                      for pair in pairs])
     points = sum(loop.n for loop in loops)
     assert points > 4500
-    assert len(swept) <= 0.01 * points
+    assert len(searched) <= 0.01 * points
+
+
+def test_piece_search_visits_few_pieces_per_point(monkeypatch):
+    # a 5,000-point circle, fitted and measured with the defaults: its
+    # whole-loop fits have coincident ends, so hundreds of points take the
+    # piece search, and each visits a handful of pieces (at most 13 and 8.5
+    # on average here), however long the loop
+    r, m = 650, 41_000
+    pts = []
+    for k in range(m):
+        p = Point2(round(r * math.cos(2 * math.pi * k / m)),
+                   round(r * math.sin(2 * math.pi * k / m)))
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    loop = Contour(pts[:-1] if pts[-1] == pts[0] else pts)
+    certified, nearest = metrics._certified, metrics._nearest
+    visits, per_point = [], []
+
+    def counting_certified(c, whole=True):
+        distance = certified(c, whole)
+
+        def counting(*args):
+            visits.append(args)
+            return distance(*args)
+        return distance if whole else counting
+
+    def counting_nearest(*args):
+        before = len(visits)
+        got = nearest(*args)
+        per_point.append(len(visits) - before)
+        return got
+
+    monkeypatch.setattr(metrics, "_certified", counting_certified)
+    monkeypatch.setattr(metrics, "_nearest", counting_nearest)
+    spline_errors(loop, fit_outline(loop)[0])
+    assert 4900 < loop.n < 5100
+    assert len(per_point) > 200
+    assert max(per_point) <= 20
+    assert sum(per_point) <= 12 * len(per_point)
 
 
 @pytest.mark.parametrize("max_error", [0.3, 0.8])

@@ -77,21 +77,20 @@ def _split_oracle_cases():
     cases.append((line, [Point2(6 * i, 2) for i in range(40)]))
     flat = chord_fit(Point2(-5, 0), Point2(45, 0))
     cases.append((flat, [Point2(i, 3) for i in range(40)]))
-    # the largest distance, exactly 5 on grid samples, tied by several points
+    # the largest distance, exactly 5 at x = 6i, tied by several points
     tied = [Point2(6 * i, 5 if i % 7 == 3 else i % 2) for i in range(40)]
     cases.append((line, tied))
     cases.append((line, tied[::-1]))
-    # a tie between point 2, on a grid sample, and point 5, halfway between
-    # two: point 5 has the larger nearest-sample distance, so a cut that
-    # drops g == d, or compares squares (y * y here is below the square of
-    # its own square root), loses point 2
+    # a tie between point 2, at x = 6i, and point 5, halfway between two:
+    # point 5 can have the larger bound, so a cut that drops g == d, or
+    # compares squares (y * y here is below the square of its own square
+    # root), loses point 2
     y = 7.712471735585844
     cases.append((line, [Point2(6 * i + 3 * (i == 5),
                                 y if i in (2, 5) else i % 2)
                          for i in range(12)]))
     # below one pixel a squared distance is smaller than the distance: point
-    # 12, on a grid sample at 0.5, beats point 20, halfway between two
-    # samples, whose refined 0.48 is below its nearest-sample 0.515
+    # 12, at 0.5, beats point 20, at 0.48, whose bound can be larger
     short = CubicBezier(Point2(0, 0), Point2(32, 0), Point2(64, 0),
                         Point2(96, 0))
     cases.append((short, [Point2(0.375 * i + 0.1875 * (i == 20),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import eq
 
 from .bezier_core import Point2
 from .contour import Contour
@@ -30,14 +31,23 @@ class CornerParams:
     suppress_range: int | None = None
 
     def __post_init__(self):
+        _require_int("support_length", self.support_length)
         if self.support_length < 1:
             raise DomainError("support_length must be positive")
         if not 0.0 < self.corner_threshold < math.inf:  # also rejects NaN
             raise DomainError("corner_threshold must be finite and positive")
         if self.suppress_range is None:
             self.suppress_range = self.support_length
-        elif self.suppress_range < 1:
-            raise DomainError("suppress_range must be positive")
+        else:
+            _require_int("suppress_range", self.suppress_range)
+            if self.suppress_range < 1:
+                raise DomainError("suppress_range must be positive")
+
+
+def _require_int(name: str, value) -> None:
+    """A count of points is an int: a float would fail later as an index."""
+    if not isinstance(value, int):
+        raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
@@ -69,6 +79,21 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
     no wrapped index.  Suppression looks at the candidates in index order,
     outward from each one in both directions around the loop, and stops at
     the first neighbour farther than suppress_range.
+
+    Chords a strip certifies are not measured.  When chord i's largest
+    distance is at most w, a padded threshold / 2 (_strip_half_width), its
+    line is the strip's reference: with s the projection along it and f the
+    signed offset from it, the walk from point i runs on while |f| <= w and
+    s does not decrease, up to point e (_strip_end).  Every chord j with
+    i < j and j + support_length <= e is skipped, and the next chord measured
+    is e - support_length + 1.  Such a chord A'B' gives no candidate: each
+    point p under it has s(A') <= s(p) <= s(B'), so at s(p) the line A'B'
+    lies at an offset between f(A') and f(B'), at most w in size.  So p is
+    at most 2w off that line along the normal, and its perpendicular
+    distance is no larger; if s(A') = s(B'), the line runs along the normal
+    and p lies on it.  The pad covers the slope form's rounding, so the
+    result is bit for bit that of measuring every chord.  A skipped chord
+    still has its endpoints checked for coincidence.
     """
     params = params or CornerParams()
     n = c.n
@@ -80,11 +105,14 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
     threshold = params.corner_threshold
+    w = _strip_half_width(xs, ys, threshold)
     sqrt = math.sqrt
+    strip_end = _strip_end
 
     assigned: dict[int, float] = {}
     # with support_length 1 no point lies under a chord, so none is checked
-    for i in range(n) if span > 1 else ():
+    i = 0 if span > 1 else n
+    while i < n:
         k = i + span
         if pts[i] == pts[k]:
             raise DegenerateChordError("chord endpoints coincide")
@@ -108,11 +136,69 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
                         j -= n
                     if assigned.get(j, 0.0) < best:
                         assigned[j] = best
+        elif best <= w:
+            e = strip_end(xs, ys, i, k, w)
+            if e > k:
+                # chords i + 1 .. e - span lie in the strip: none is
+                # measured, but each still gets its coincidence check
+                if True in map(eq, pts[i + 1:e - span + 1], pts[k + 1:e + 1]):
+                    raise DegenerateChordError("chord endpoints coincide")
+                i = e - span
+        i += 1
 
     order = sorted(assigned)
     kept = [j for p, j in enumerate(order)
             if not _suppressed(order, p, assigned, n, params.suppress_range)]
     return CornerSet(kept, [assigned[j] for j in kept])
+
+
+# Strips are walked only on loops of integral coordinates below this size,
+# where every strip product of coordinate differences is an exact float.
+_STRIP_LIMIT = 2 ** 25
+
+
+def _strip_half_width(xs: list, ys: list, threshold: float) -> float:
+    """Half-width w of the strips _strip_end walks, or -1.0 when a
+    coordinate is not integral or not below _STRIP_LIMIT in size.
+
+    A point under a chord inside the strip lies at most 2w off the chord's
+    line.  The slope form the chords are measured in rounds a distance by
+    less than 2**-49 times the largest coordinate plus a few units in its
+    last place, and the strip test by a few units in the last place.  So w
+    is threshold / 2 less a relative pad and a pad in proportion to that
+    coordinate."""
+    try:
+        ix, iy = list(map(int, xs)), list(map(int, ys))
+    except (ValueError, OverflowError):  # NaN or infinite
+        return -1.0
+    size = max(max(ix), -min(ix), max(iy), -min(iy))
+    if ix != xs or iy != ys or size >= _STRIP_LIMIT:
+        return -1.0
+    return 0.5 * threshold * (1.0 - 2.0 ** -40) - (size + 1) * 2.0 ** -46
+
+
+def _strip_end(xs: list, ys: list, i: int, k: int, w: float) -> int:
+    """Last index e of the strip along the chord from point i to point k:
+    every point from i to e lies within w of the chord's line, and their
+    projections on it never decrease.
+
+    The offset f and the projection s are kept times the chord's length:
+    on the coordinates _strip_half_width admits, each is an exact float."""
+    xi = xs[i]
+    yi = ys[i]
+    ux = xs[k] - xi
+    uy = ys[k] - yi
+    lim = w * math.sqrt(ux * ux + uy * uy)
+    s0 = 0.0
+    for e in range(i + 1, len(xs)):
+        dx = xs[e] - xi
+        dy = ys[e] - yi
+        s = dx * ux + dy * uy
+        f = dy * ux - dx * uy
+        if s < s0 or f > lim or f < -lim:
+            return e - 1
+        s0 = s
+    return len(xs) - 1
 
 
 def _suppressed(order: list[int], p: int, assigned: dict[int, float], n: int,

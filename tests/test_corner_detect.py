@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beziertrace.bezier_core import Point2
 from beziertrace.contour import Contour, trace_boundaries
+from beziertrace import corner_detect
 from beziertrace.corner_detect import (CornerParams, CornerSet, detect_corners,
                                        range_points, segment_boundaries)
 from beziertrace.errors import (DegenerateChordError, DomainError,
@@ -14,7 +15,7 @@ from beziertrace.errors import (DegenerateChordError, DomainError,
 
 from helpers import (circle_image, filled_rect_image, rasterize_polygon,
                      rotate_contour, star_polygon)
-from _reference import reference_corners
+from _reference import _line_distance, reference_corners
 
 
 def _detect_both(contour, params=None):
@@ -41,6 +42,14 @@ def test_params_validation():
         CornerParams(support_length=0)
     with pytest.raises(DomainError):
         CornerParams(corner_threshold=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("support_length", 3.0),
+                                          ("suppress_range", 2.5)])
+def test_params_reject_counts_that_are_not_ints(field, value):
+    # a float support length used to pass and then fail as a slice index
+    with pytest.raises(DomainError, match=field):
+        CornerParams(**{field: value})
 
 
 def test_rectangle_four_corners():
@@ -238,3 +247,206 @@ def test_range_points_wraps():
     c = _dummy_contour(10)
     pts = range_points(c, 8, 2)
     assert [p.x for p in pts] == [8.0, 9.0, 0.0, 1.0, 2.0]
+
+
+# ------------------ strips: skipped chords, bit for bit ----------------------
+
+def _watch_strips(monkeypatch):
+    """A list that collects (i, k, e) for every strip the corner pass walks
+    along chord i..k, e being the strip's end: it skips chords i + 1 up to
+    e - k + i, that is max(0, e - k) of them."""
+    strips = []
+    walk = corner_detect._strip_end
+
+    def watched(xs, ys, i, k, w):
+        strips.append((i, k, walk(xs, ys, i, k, w)))
+        return strips[-1][2]
+
+    monkeypatch.setattr(corner_detect, "_strip_end", watched)
+    return strips
+
+
+def _pen_path(moves):
+    """Points of a pen path: each move is (turn in degrees, length, bend in
+    degrees per pixel).  It is sampled every quarter pixel and rounded, so
+    consecutive points are 8-neighbours.  The path is closed round its
+    bounding box, below and left of it, so that it does not run back over
+    itself."""
+    x = y = heading = 0.0
+    out = [(0, 0)]
+
+    def run(length, bend):
+        nonlocal x, y, heading
+        for _ in range(int(length * 4)):
+            heading += bend / 4
+            x += 0.25 * math.cos(math.radians(heading))
+            y += 0.25 * math.sin(math.radians(heading))
+            q = (round(x), round(y))
+            if q != out[-1]:
+                out.append(q)
+
+    def goto(tx, ty):
+        nonlocal heading
+        heading = math.degrees(math.atan2(ty - y, tx - x))
+        run(math.hypot(tx - x, ty - y), 0.0)
+
+    for turn, length, bend in moves:
+        heading += turn
+        run(length, bend)
+    left = min(px for px, _ in out) - 10
+    below = min(py for _, py in out) - 10
+    for corner in ((x, below), (left, below), (left, 0), (0, 0)):
+        goto(*corner)
+    while len(out) > 1 and out[-1] == out[0]:
+        out.pop()
+    return out
+
+
+def _feature(kind, size):
+    """Moves that break a strip: a spike out and back on two lines, a
+    one-pixel-wide whisker that retraces its pixels, a hook that turns back
+    one pixel over and runs against the old heading, or a back-step of one
+    pixel."""
+    if kind == "spike":
+        return [(90, size, 0), (-120, 1, 0), (-120, size, 0), (150, 0, 0)]
+    if kind == "whisker":
+        return [(90, size, 0), (180, size, 0), (90, 0, 0)]
+    if kind == "hook":
+        return [(90, 1, 0), (90, size, 0)]
+    return [(135, 1.5, 0), (-135, 0, 0)]  # back-step
+
+
+@st.composite
+def _strip_loops(draw):
+    """Long digital lines and arcs, where strips skip most chords, broken by
+    features that must stop them; shifted so the largest coordinate sits
+    just below or at the size limit, or with one coordinate off the
+    integers or NaN, which turns strips off.  A whisker shorter than half
+    the support length puts no chord's two endpoints on one pixel."""
+    span = draw(st.integers(2, 16))
+    moves = []
+    for _ in range(draw(st.integers(1, 4))):
+        turn = draw(st.sampled_from((0, 0, 90, -90, 45, 15, -30, 60)))
+        length = draw(st.integers(8, 60))
+        bend = draw(st.sampled_from((0, 0, 0, 0.5, 2, -1, -4)))
+        moves.append((turn, length, bend))
+        kind = draw(st.sampled_from(("none", "none", "spike", "whisker",
+                                     "hook", "back-step")))
+        if kind == "whisker" and span > 2:
+            moves += _feature(kind, draw(st.integers(1, (span - 1) // 2)))
+        elif kind not in ("none", "whisker"):
+            moves += _feature(kind, draw(st.integers(1, 30)))
+    pts = _pen_path(moves)
+    if len(pts) <= 2 * span:
+        pts += [(x, y + 200) for x, y in reversed(pts)]
+    limit = corner_detect._STRIP_LIMIT
+    where = draw(st.sampled_from(("origin", "origin", "below", "-below",
+                                  "at", "-at", "half", "nan")))
+    if where in ("below", "at"):
+        shift = limit - (where == "below") - max(max(p) for p in pts)
+        pts = [(x + shift, y + shift) for x, y in pts]
+    elif where in ("-below", "-at"):
+        shift = (where == "-below") - limit - min(min(p) for p in pts)
+        pts = [(x + shift, y + shift) for x, y in pts]
+    pts = [Point2(float(x), float(y)) if draw(st.booleans()) else Point2(x, y)
+           for x, y in pts]
+    if where in ("half", "nan"):
+        k = draw(st.integers(0, len(pts) - 1))
+        pts[k] = Point2(pts[k].x + 0.5 if where == "half" else math.nan,
+                        pts[k].y)
+    threshold = draw(st.sampled_from((0.7, 1.5, 2.0, 2.2, 2.6, 4.0, 6.0)))
+    return Contour(pts), CornerParams(span, threshold)
+
+
+@given(_strip_loops())
+def test_strips_keep_the_corners_bit_for_bit(case):
+    contour, params = case
+    pts, span = contour.points, params.support_length
+    if any(pts[i] == pts[(i + span) % len(pts)] for i in range(len(pts))):
+        with pytest.raises(DegenerateChordError):
+            detect_corners(contour, params)
+        return
+    got, want_idx, want_str = _detect_both(contour, params)
+    assert (got.indices, got.strengths) == (want_idx, want_str)
+
+
+def _hairpin():
+    """A 30-pixel run that turns back one row up, closed round a far
+    rectangle: past the turn the projection along the run's chords falls,
+    though no point stands more than 1 off them."""
+    pts = ([(x, 0) for x in range(30)] + [(x, 1) for x in range(29, -1, -1)]
+           + [(-1, y) for y in range(2, 8)] + [(x, 8) for x in range(40)]
+           + [(40, y) for y in range(7, -8, -1)]
+           + [(x, -8) for x in range(39, -2, -1)]
+           + [(-1, y) for y in range(-7, 0)])
+    return Contour([Point2(float(x), float(y)) for x, y in pts])
+
+
+@pytest.mark.parametrize("span, threshold", [(10, 2.0), (14, 2.2)])
+def test_strip_stops_where_the_projection_falls(span, threshold):
+    # chords across the turn stand more than the threshold off its tip, yet
+    # the points round it stay within half the threshold of the line of a
+    # chord along the run (14) or into the turn (10): only the projection,
+    # which falls past the turn, stops those strips
+    contour = _hairpin()
+    got, want_idx, want_str = _detect_both(contour,
+                                           CornerParams(span, threshold))
+    assert (got.indices, got.strengths) == (want_idx, want_str)
+
+
+def _skew_chord_line(x0, y0):
+    """Points of a line of slope 1/7 with one chord, 20..24, parallel to it
+    one offset unit to one side and its middle point one unit to the other;
+    the loop returns along a far parallel line."""
+    delta = [0] * 41
+    delta[20] = delta[24] = 1
+    delta[22] = -1
+    pts = [(7 * t + delta[t], t) for t in range(41)]
+    pts += [(7 * t, t + 60) for t in range(40, -1, -1)]
+    return [(x + x0, y + y0) for x, y in pts]
+
+
+def test_strip_pad_covers_the_slope_forms_rounding_at_large_coordinates():
+    # Chord 20..24 stands exactly twice the offset unit h = 1/sqrt(50) off
+    # point 22, and the strip along chord 0..4 holds every point within h.
+    # Near 2**24 the slope form rounds that distance up by about 1.6e-9 px,
+    # so a threshold just below the rounded value makes the chord a corner,
+    # while threshold / 2 less a pad relative to the threshold alone would
+    # still be above h and skip it.
+    exact = 2 / math.sqrt(50) * (1 + 2 ** -30)  # 2h, and a little more
+    for q in range(50):
+        pts = _skew_chord_line(2 ** 24 - 1000 - 37 * q, 2 ** 24 - 500 - 11 * q)
+        d = _line_distance(pts[22], pts[20], pts[24])
+        if d > exact:
+            break
+    else:
+        pytest.fail("no shift rounds the skew chord's distance up")
+    params = CornerParams(4, (d + exact) / 2)
+    contour = Contour([Point2(float(x), float(y)) for x, y in pts])
+    got, want_idx, want_str = _detect_both(contour, params)
+    assert 22 in want_idx
+    assert (got.indices, got.strengths) == (want_idx, want_str)
+
+
+def test_strips_measure_few_chords_of_a_large_circle(monkeypatch):
+    # no timing budget: a count of the chords the pass measures
+    loop = trace_boundaries(circle_image(800))[0]
+    strips = _watch_strips(monkeypatch)
+    assert detect_corners(loop).indices == []
+    measured = loop.n - sum(max(0, e - k) for _, k, e in strips)
+    assert measured <= 0.10 * loop.n, (measured, loop.n)
+
+
+def test_coincident_chord_inside_a_skipped_stretch_raises(monkeypatch):
+    # a whisker of one pixel at x = 10 puts (10, 0) at points 10 and 12, so
+    # the chord from 10 to 12 is coincident; the strip along chord 0..2
+    # (half-width 1.5) passes over it, and the chord is never measured
+    top = ([(x, 0) for x in range(11)] + [(10, 1)]
+           + [(x, 0) for x in range(10, 21)])
+    pts = top + [(x, 5) for x in range(20, -1, -1)]
+    contour = Contour([Point2(float(x), float(y)) for x, y in pts])
+    params = CornerParams(support_length=2, corner_threshold=3.0)
+    strips = _watch_strips(monkeypatch)
+    with pytest.raises(DegenerateChordError):
+        detect_corners(contour, params)
+    assert strips == [(0, 2, 22)]

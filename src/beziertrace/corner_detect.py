@@ -14,7 +14,8 @@ from operator import eq
 
 from .bezier_core import Point2
 from .contour import Contour
-from .errors import DegenerateChordError, DomainError, PreconditionError
+from .errors import (DegenerateChordError, DomainError, PreconditionError,
+                     require_int)
 
 
 @dataclass
@@ -31,7 +32,7 @@ class CornerParams:
     suppress_range: int | None = None
 
     def __post_init__(self):
-        _require_int("support_length", self.support_length)
+        require_int("support_length", self.support_length)
         if self.support_length < 1:
             raise DomainError("support_length must be positive")
         if not 0.0 < self.corner_threshold < math.inf:  # also rejects NaN
@@ -39,15 +40,9 @@ class CornerParams:
         if self.suppress_range is None:
             self.suppress_range = self.support_length
         else:
-            _require_int("suppress_range", self.suppress_range)
+            require_int("suppress_range", self.suppress_range)
             if self.suppress_range < 1:
                 raise DomainError("suppress_range must be positive")
-
-
-def _require_int(name: str, value) -> None:
-    """A count of points is an int: a float would fail later as an index."""
-    if not isinstance(value, int):
-        raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass

@@ -11,6 +11,13 @@ class DomainError(BezierTraceError, ValueError):
     """A numeric argument is outside its allowed range."""
 
 
+def require_int(name: str, value) -> None:
+    """A count of points or passes is an int: a float would fail later as an
+    index or a range bound."""
+    if not isinstance(value, int):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+
+
 class DegenerateChordError(BezierTraceError, ValueError):
     """Chord endpoints coincide, so no line or projection is defined."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bezier_core import CubicBezier, Point2, _check_range, _new_tuple
 from .errors import (DegenerateChordError, DegenerateSegmentError, DomainError,
-                     PreconditionError, SingularParameterError)
+                     PreconditionError, SingularParameterError, require_int)
 
 # solve denominators smaller than this are rejected outright
 _DEN_FLOOR = 1e-9
@@ -41,12 +41,14 @@ class FitConfig:
     def __post_init__(self):
         if not 0.0 <= self.removal_rate < 0.5:
             raise DomainError("removal_rate must be in [0, 0.5)")
+        require_int("removal_iters", self.removal_iters)
         if self.removal_iters < 0:
             raise DomainError("removal_iters must be non-negative")
         if not 0.0 < self.spread_threshold < math.inf:  # also rejects NaN
             raise DomainError("spread_threshold must be finite and positive")
         if not 0.0 < self.eps_t < 0.25:
             raise DomainError("eps_t must be in (0, 0.25)")
+        require_int("min_segment_points", self.min_segment_points)
         if self.min_segment_points < 4:
             raise DomainError("min_segment_points must be at least 4")
         if self.max_error is not None and not 0.0 < self.max_error < math.inf:

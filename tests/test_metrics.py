@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -126,8 +128,18 @@ def _distance_cases(draw):
     return c, pts
 
 
+_BOW = CubicBezier(Point2(0, 0), Point2(30, 10), Point2(70, 10),
+                   Point2(100, 0))
+
+
 @given(_distance_cases())
 @example((_STEEP, [Point2(0.24400, -277.74395)]))
+# the last Newton step, 2.7e-10 here, is below the 1e-8 stop but not 1e-12
+@example((_BOW, [Point2(90.5, 4.2)]))
+# the second point's carried start falls to u = -0.18 or u = 1.31 and is
+# clamped to the curve's end
+@example((_BOW, [Point2(50, 5), Point2(-20, 3)]))
+@example((_BOW, [Point2(50, 5), Point2(130, -4)]))
 def test_distances_are_the_oracle_minimum(case):
     # the report's distance and the split search's are each within the
     # tolerance of the minimum, above it or below it, and the split search
@@ -318,12 +330,14 @@ def test_farthest_sweeps_few_points_exactly(monkeypatch):
 
 def _unpruned_farthest(pts, c, lo, hi):
     """farthest without its break: every point of pts[lo:hi] measured from
-    its chain parameter, a distance within rounding of zero taken as zero,
-    and the first largest distance kept."""
-    distance = metrics._certified(c)
+    its start in the bound pass, a distance within rounding of zero taken
+    as zero, and the first largest distance kept."""
+    measure = metrics._certified(c)
     floor = 1e-13 * max(abs(v) for p in c for v in p) + 1e-12
-    dists = [distance(*p, u)[0] for p, (u, _) in
-             zip(pts[lo:hi], metrics._chain(c, pts[lo:hi], lo / len(pts)))]
+    bounds, starts, dists = [], [], []
+    measure(pts[lo:hi], lo / len(pts), bounds, starts)
+    for p, u in zip(pts[lo:hi], starts, strict=True):
+        measure((p,), u, dists)
     dists = [d if d > floor else 0.0 for d in dists]
     i = max(range(len(dists)), key=dists.__getitem__)
     return lo + i, dists[i]
@@ -678,6 +692,37 @@ def test_spline_errors_takes_the_piece_search_for_few_points(monkeypatch):
     points = sum(loop.n for loop in loops)
     assert points > 4500
     assert len(searched) <= 0.01 * points
+
+
+def test_spline_errors_takes_few_curve_evaluations_per_point():
+    # the work, not the time: each point starts one Newton step on from the
+    # previous point's last evaluation, so the stars and ellipse, fitted
+    # with the defaults, take 1.52 evaluations per point here, where a
+    # start one parameter step past the previous point's took 2.37.  The
+    # evaluations are counted as runs of the line that computes B(u) - p.
+    loops = _stars_and_ellipse()
+    pairs = [(loop, fit_outline(loop)[0]) for loop in loops]
+    code = metrics._certified(pairs[0][1].segments[0].curve).__code__
+    lines, first = inspect.getsourcelines(code)
+    line = first + next(k for k, text in enumerate(lines)
+                        if "qx = x0 - px" in text)
+    count = 0
+
+    def count_line(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == line
+        return count_line
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 count_line if frame.f_code is code else None)
+    try:
+        for pair in pairs:
+            spline_errors(*pair)
+    finally:
+        sys.settrace(before)
+    points = sum(loop.n for loop in loops)
+    assert points <= count <= 1.9 * points
 
 
 def test_piece_search_visits_few_pieces_per_point(monkeypatch):

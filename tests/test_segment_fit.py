@@ -365,6 +365,15 @@ def test_fit_config_validation():
         FitConfig(max_error=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [("removal_iters", 1.5),
+                                          ("min_segment_points", 8.5)])
+def test_fit_config_rejects_counts_that_are_not_ints(field, value):
+    # removal_iters=1.5 used to pass and then fail in range() with a bare
+    # TypeError; min_segment_points=8.5 passed silently
+    with pytest.raises(DomainError, match=field):
+        FitConfig(**{field: value})
+
+
 # ------------------------- fit_segment against the oracle -------------------------
 
 

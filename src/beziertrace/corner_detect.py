@@ -87,8 +87,11 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
     at most 2w off that line along the normal, and its perpendicular
     distance is no larger; if s(A') = s(B'), the line runs along the normal
     and p lies on it.  The pad covers the slope form's rounding, so the
-    result is bit for bit that of measuring every chord.  A skipped chord
-    still has its endpoints checked for coincidence.
+    result is bit for bit that of measuring every chord.
+
+    A loop with a chord whose endpoints coincide is a DegenerateChordError,
+    found by one test over the whole loop before any chord is walked (with
+    support_length 1 no point lies under a chord, and none is tested).
     """
     params = params or CornerParams()
     n = c.n
@@ -96,21 +99,23 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
     if n <= 2 * span:
         raise PreconditionError(
             f"loop of {n} points is too short for support length {span}")
-    pts = c.points + c.points[:span]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    pts = c.points
+    # with support_length 1 no point lies under a chord: none is tested or
+    # measured
+    if span > 1 and True in map(eq, pts, pts[span:] + pts[:span]):
+        raise DegenerateChordError("chord endpoints coincide")
+    xs, ys = map(list, zip(*pts))
+    xs += xs[:span]
+    ys += ys[:span]
     threshold = params.corner_threshold
     w = _strip_half_width(xs, ys, threshold)
     sqrt = math.sqrt
     strip_end = _strip_end
 
     assigned: dict[int, float] = {}
-    # with support_length 1 no point lies under a chord, so none is checked
     i = 0 if span > 1 else n
     while i < n:
         k = i + span
-        if pts[i] == pts[k]:
-            raise DegenerateChordError("chord endpoints coincide")
         xi = xs[i]
         yi = ys[i]
         mx = xs[k] - xi
@@ -134,10 +139,6 @@ def detect_corners(c: Contour, params: CornerParams | None = None) -> CornerSet:
         elif best <= w:
             e = strip_end(xs, ys, i, k, w)
             if e > k:
-                # chords i + 1 .. e - span lie in the strip: none is
-                # measured, but each still gets its coincidence check
-                if True in map(eq, pts[i + 1:e - span + 1], pts[k + 1:e + 1]):
-                    raise DegenerateChordError("chord endpoints coincide")
                 i = e - span
         i += 1
 

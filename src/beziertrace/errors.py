@@ -12,9 +12,9 @@ class DomainError(BezierTraceError, ValueError):
 
 
 def require_int(name: str, value) -> None:
-    """A count of points or passes is an int: a float would fail later as an
-    index or a range bound."""
-    if not isinstance(value, int):
+    """A count of points or passes is an int and not a bool: a float would
+    fail later as an index or a range bound, and True would pass as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an int, got {value!r}")
 
 

@@ -6,7 +6,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .bezier_core import CubicBezier, Point2, _check_range
+from .bezier_core import _SQUARE_SAFE, CubicBezier, Point2, _check_range
 from .errors import ConsistencyError, DomainError
 
 
@@ -86,7 +86,13 @@ def _certified(c, whole: bool = True):
     evaluated once only, at its start: out gets |B(u) - p| there, a bound
     on its distance (its certified distance where that first step already
     stops), and starts the parameter one Newton step on.
+
+    This is where the range contract of every distance is checked: a
+    coordinate that is not finite or not below 1e153 in size is a
+    DomainError (_check_range), for c when the measure is built and for
+    each point as measure reads it, before its distance.
     """
+    _check_range(c)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
     # with D = P1 - P0: B = P0 + u (3 D + u (3 e0 + u F)), T = D + u (e0 + S)
     # and S = e0 + u F
@@ -107,18 +113,20 @@ def _certified(c, whole: bool = True):
     sqrt, hypot = math.sqrt, math.hypot
     tree = []   # the root piece, once a point needs it
     consts = (x0, y0, dx0, dy0, ex0, ey0, fx, fy, ax, ay, bx, by, kk, lip, ff,
-              _STEP)
+              _STEP, _SQUARE_SAFE)
 
     def measure(pts, u: float, out: list, starts: list | None = None):
         # locals, which the loop reads faster than closure cells
         (x0, y0, dx0, dy0, ex0, ey0, fx, fy, ax, ay, bx, by, kk, lip, ff,
-         stop) = consts
+         stop, lim) = consts
         steps = _NEWTON_STEPS if starts is None else 1
         append = out.append
         t = u
         # no evaluation yet: T = S = 0 leaves the first start at u
         qx = qy = tx = ty = sx = sy = lx = ly = 0.0
         for px, py in pts:
+            if not (-lim < px < lim and -lim < py < lim):
+                _check_range(((px, py),))
             qx += lx - px
             qy += ly - py
             lx, ly = px, py
@@ -270,9 +278,8 @@ def curve_distances(pts: list[Point2], c: CubicBezier) -> list[float]:
     _certified's measure over the run in one pass, the first point started
     at u = 0 and each next one a Newton step on from the previous point's
     last evaluation.  A coordinate not finite or not below 1e153 in size
-    is a DomainError.
+    is a DomainError, which _certified raises.
     """
-    _check_range((*c, *pts))
     out = []
     _certified(c)(pts, 0.0, out)
     return out
@@ -283,7 +290,10 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     """First index of the largest distance in pts[lo:hi], and that
     distance; needs lo < hi.  This is the whole split search: the split
     point, and with max_error set also the test of that distance against
-    the bound.  An out-of-range coordinate is a DomainError (_check_range).
+    the bound.  An out-of-range coordinate is a DomainError: _certified
+    refuses c and the points in [lo, hi), and the points it does not read
+    are checked here, those before lo first and those from hi last, so the
+    first bad coordinate of c, then pts, is the one named.
 
     One pass of _certified's measure evaluates the curve once per point,
     the first at lo's share along the curve, each next one a Newton step on
@@ -299,12 +309,13 @@ def farthest(pts: list[Point2], c: CubicBezier, lo: int,
     within that rounding of 0 counts as 0: points the curve passes through
     tie.
     """
-    _check_range((*c, *pts))
     measure = _certified(c)
     floor = 1e-13 * max(abs(v) for p in c for v in p) + _PAD_ABS
     pad = floor + _GAP
     bounds, starts, got = [], [], []
+    _check_range(pts[:lo])
     measure(pts[lo:hi], lo / len(pts), bounds, starts)
+    _check_range(pts[hi:])
     best_i, best = lo, -1.0
     for k in sorted(range(hi - lo), key=bounds.__getitem__, reverse=True):
         if bounds[k] * _PAD_REL + pad < best:
@@ -335,8 +346,8 @@ def spline_errors(contour, spline) -> tuple[float, float]:
     A segment's owned points are measured in one pass of curve_distances'
     measure.  A point's start depends only on the points before it, so
     each gets the distance curve_distances gives it over the segment's
-    whole run, end point included.  Each run and its curve are held to
-    _check_range before any of its distances.
+    whole run, end point included.  _certified refuses an out-of-range
+    curve before its run, and an out-of-range point as it reaches it.
     """
     n = contour.n
     if not n:
@@ -356,9 +367,7 @@ def spline_errors(contour, spline) -> tuple[float, float]:
                 raise ConsistencyError(f"contour point {k} covered twice")
             seen[lo:hi] = b"\x01" * (hi - lo)
             run += points[lo:hi]
-        c = seg.curve
-        _check_range((*c, *run))
-        _certified(c)(run, 0.0, out)
+        _certified(seg.curve)(run, 0.0, out)
     if len(out) != n:
         raise ConsistencyError(
             f"segments cover {len(out)} of {n} contour points")

@@ -166,14 +166,18 @@ def parameterize(pts: list[Point2]) -> SegmentSamples:
 
 
 def _repair_increasing(ts: list[float]) -> list[float] | None:
-    """Nudge jittered parameters into a strictly increasing sequence.
+    """Nudge jittered parameters into a strictly increasing sequence, the
+    pinned ends 0 and 1 left as they are.
 
+    The forward pass lifts each interior parameter above the one before it,
+    and the backward pass lowers each below the one after it, so a point
+    that projects at or past the chord's end is pulled back below 1.
     Returns None when the values are too crowded to separate (which means
     the projection is degenerate and arc length should be used instead).
     """
     eps = 1e-12
     out = list(ts)
-    for i in range(1, len(out)):
+    for i in range(1, len(out) - 1):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + eps
     for i in range(len(out) - 2, 0, -1):

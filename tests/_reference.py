@@ -253,7 +253,7 @@ def _reference_params(pts):
         running = max(running, t)
         excursion = max(excursion, running - t)
     if excursion * math.hypot(dx, dy) <= 2.0:
-        for i in range(1, len(ts)):
+        for i in range(1, len(ts) - 1):
             if ts[i] <= ts[i - 1]:
                 ts[i] = ts[i - 1] + 1e-12
         for i in range(len(ts) - 2, 0, -1):

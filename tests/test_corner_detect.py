@@ -45,9 +45,12 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("field, value", [("support_length", 3.0),
-                                          ("suppress_range", 2.5)])
+                                          ("suppress_range", 2.5),
+                                          ("support_length", True),
+                                          ("suppress_range", False)])
 def test_params_reject_counts_that_are_not_ints(field, value):
-    # a float support length used to pass and then fail as a slice index
+    # a float support length used to pass and then fail as a slice index;
+    # True used to pass as a support of 1 and was echoed as true
     with pytest.raises(DomainError, match=field):
         CornerParams(**{field: value})
 
@@ -147,14 +150,43 @@ def test_nan_point_is_passed_over_like_the_reference():
         assert (got.indices, got.strengths) == (want_idx, want_str), k
 
 
-def test_coincident_chord_endpoints_raise():
-    # the run turns back on itself, so point 4 is also point 6
-    loop = Contour([Point2(float(x), 0.0) for x in (0, 1, 2, 3, 4, 5, 4, 3,
-                                                    2, 1)]
-                   + [Point2(float(x), 1.0) for x in range(8)])
-    detect_corners(loop, CornerParams(support_length=3))
-    with pytest.raises(DegenerateChordError):
-        detect_corners(loop, CornerParams(support_length=2))
+def _loop(pts):
+    return Contour([Point2(float(x), float(y)) for x, y in pts])
+
+
+# the run turns back on itself, so point 4 is also point 6: the strip along
+# chord 0..2 ends at point 5, and chord 4..6 is the next one measured
+_TURN_BACK = _loop([(x, 0) for x in (0, 1, 2, 3, 4, 5, 4, 3, 2, 1)]
+                   + [(x, 1) for x in range(8)])
+# a whisker tip at point 0, so the last point is also point 1: the
+# coincident chord wraps round the loop's end
+_WRAPPED = _loop([(x, 0) for x in range(11)] + [(10, y) for y in range(1, 6)]
+                 + [(x, 5) for x in range(9, 0, -1)]
+                 + [(1, y) for y in range(4, -1, -1)])
+# a one-pixel whisker at x = 10 puts (10, 0) at points 10 and 12; the strip
+# along chord 0..2 passes over chord 10..12
+_IN_STRIP = _loop([(x, 0) for x in range(11)] + [(10, 1)]
+                  + [(x, 0) for x in range(10, 21)]
+                  + [(x, 5) for x in range(20, -1, -1)])
+# every point repeated: chords of one step coincide, but none has a point
+# under it
+_DOUBLED = _loop([p for x in range(8) for p in ((x, 0), (x, 0))]
+                 + [p for x in range(7, -1, -1) for p in ((x, 3), (x, 3))])
+
+
+@pytest.mark.parametrize("loop, params, raises", [
+    (_TURN_BACK, CornerParams(support_length=3), False),
+    (_TURN_BACK, CornerParams(support_length=2), True),
+    (_WRAPPED, CornerParams(support_length=2), True),
+    (_IN_STRIP, CornerParams(support_length=2, corner_threshold=3.0), True),
+    (_DOUBLED, CornerParams(support_length=1), False),
+])
+def test_coincident_chord_endpoints_raise(loop, params, raises):
+    if raises:
+        with pytest.raises(DegenerateChordError):
+            detect_corners(loop, params)
+    else:
+        assert detect_corners(loop, params).indices == []
 
 
 def test_rotation_equivariance_on_polygon():
@@ -440,7 +472,8 @@ def test_strips_measure_few_chords_of_a_large_circle(monkeypatch):
 def test_coincident_chord_inside_a_skipped_stretch_raises(monkeypatch):
     # a whisker of one pixel at x = 10 puts (10, 0) at points 10 and 12, so
     # the chord from 10 to 12 is coincident; the strip along chord 0..2
-    # (half-width 1.5) passes over it, and the chord is never measured
+    # (half-width 1.5) would pass over it, but the loop is refused before
+    # any strip is walked
     top = ([(x, 0) for x in range(11)] + [(10, 1)]
            + [(x, 0) for x in range(10, 21)])
     pts = top + [(x, 5) for x in range(20, -1, -1)]
@@ -449,4 +482,4 @@ def test_coincident_chord_inside_a_skipped_stretch_raises(monkeypatch):
     strips = _watch_strips(monkeypatch)
     with pytest.raises(DegenerateChordError):
         detect_corners(contour, params)
-    assert strips == [(0, 2, 22)]
+    assert strips == []

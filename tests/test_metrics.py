@@ -518,6 +518,30 @@ def test_distances_refuse_out_of_range_coordinates(c, pts):
         split_point(pts, c, FitConfig(min_segment_points=4))
 
 
+def test_distances_range_check_only_what_the_kernel_does_not_read(
+        monkeypatch):
+    # the distance kernel checks the curve, and each point as it reads it;
+    # no entry point copies a whole run into one more check first
+    sizes = []
+    check = metrics._check_range
+
+    def watched(pts):
+        sizes.append(len(pts))
+        check(pts)
+
+    monkeypatch.setattr(metrics, "_check_range", watched)
+    rng = random.Random(24)
+    c = _random_curve(rng)
+    pts = [Point2(x + rng.uniform(-2, 2), y + rng.uniform(-2, 2))
+           for x, y in (evaluate(c, i / 199) for i in range(200))]
+    n = len(pts)
+    curve_distances(pts, c)
+    spline_errors(*_closed_by_one_point(c, pts))
+    farthest(pts, c, 1, n - 1)
+    split_point(pts, c, FitConfig())
+    assert sizes and max(sizes) <= 4, sizes
+
+
 def _near(got, want, tol=1e-9):
     """Same number of distances, each within tol, or within 1e-14 of the
     distance where that is wider (past 1e5 px): near the range bound the

@@ -70,6 +70,34 @@ def test_parameterize_repairs_quantization_ties():
     assert all(b > a for a, b in zip(s.params, s.params[1:]))
 
 
+def test_parameterize_keeps_the_last_parameter_pinned():
+    # (10.3, 0.5) projects past the chord's end, within the hook tolerance;
+    # the repair once carried it into the last parameter, 1.030000000001
+    pts = [Point2(x, y) for x, y in
+           [(0, 0), (3, 1), (6, 1), (10.3, 0.5), (10, 0)]]
+    s = parameterize(pts)
+    assert not s.arc_length_fallback
+    assert s.params == [0.0, 0.3, 0.6, 1.0 - 1e-12, 1.0]
+    assert sample_at(s, 1.0) == pts[-1]
+
+
+@given(st.lists(st.tuples(st.floats(-1.2, 1.2), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=30))
+def test_parameterize_pins_both_ends_of_jittered_runs(jitter):
+    # each interior point strays at most 1.2 px along the chord, so none
+    # retreats 2 px behind another, while those near the end may project
+    # past it
+    end = len(jitter) + 1
+    pts = ([Point2(0.0, 0.0)]
+           + [Point2(i + dx, dy) for i, (dx, dy) in enumerate(jitter, 1)]
+           + [Point2(float(end), 0.0)])
+    s = parameterize(pts)
+    assert not s.arc_length_fallback
+    assert s.params[0] == 0.0 and s.params[-1] == 1.0
+    assert all(b > a for a, b in zip(s.params, s.params[1:]))
+    assert sample_at(s, 1.0) == pts[-1]
+
+
 def test_parameterize_degenerate():
     with pytest.raises(DegenerateSegmentError):
         parameterize([Point2(1, 1)])
@@ -366,10 +394,13 @@ def test_fit_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("removal_iters", 1.5),
-                                          ("min_segment_points", 8.5)])
+                                          ("min_segment_points", 8.5),
+                                          ("removal_iters", False),
+                                          ("min_segment_points", True)])
 def test_fit_config_rejects_counts_that_are_not_ints(field, value):
     # removal_iters=1.5 used to pass and then fail in range() with a bare
-    # TypeError; min_segment_points=8.5 passed silently
+    # TypeError; min_segment_points=8.5 passed silently; False passed as 0,
+    # and True was refused as "must be at least 4"
     with pytest.raises(DomainError, match=field):
         FitConfig(**{field: value})
 

@@ -259,12 +259,16 @@ def _fit_share(fittable, share, params, cfg):
 def _fit_all(fittable, params, cfg, workers):
     """(contour, spline, errors) for every loop of fittable, in input order.
 
-    Loops are dealt longest first (Graham's LPT order) to min(workers,
-    loops) shares.  This process fits share 0; a forked child per other
-    share (no thread runs, so no lock is held across the fork) pipes back
-    one pickle and ends in os._exit on every path.  Shares run in index
-    order to their first failure and a dead child fails at its first loop,
-    so the error raised is the first in input order."""
+    Loops are sorted longest first by point count, ties to the lower
+    index, and dealt round robin to min(workers, loops) shares: loop k of
+    that order goes to share k mod n.  This is not Graham's LPT rule, which
+    would give each next loop to the least-loaded share; point counts are
+    all it knows of a loop's cost.  This process fits share 0; a forked
+    child per other share (no thread runs, so no lock is held across the
+    fork) pipes back one pickle and ends in os._exit on every path.
+    Shares run in index order to their first failure and a dead child
+    fails at its first loop, so the error raised is the first in input
+    order."""
     n = min(workers, len(fittable)) if hasattr(os, "fork") else 1
     order = sorted(range(len(fittable)), key=lambda i: -fittable[i].n)
     children, ends = [], []

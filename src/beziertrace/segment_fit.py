@@ -10,6 +10,7 @@ its means become the fitted control points.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -321,8 +322,9 @@ def prune_spread(sp: CandidateSpread, cfg: FitConfig) -> CandidateSpread:
             raise DomainError("candidate control points too far from their "
                               "means to score: a squared offset overflows"
                               ) from None
-        # the sort is stable, reversed too, so equal scores keep index order
-        worst = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
+        # nlargest is sorted(..., reverse=True)[:k], which is stable, so
+        # equal scores keep index order
+        worst = heapq.nlargest(k, range(n), key=scores.__getitem__)
         for i in sorted(worst, reverse=True):
             del ts[i], x1[i], y1[i], x2[i], y2[i]
         out = _spread(*cols)

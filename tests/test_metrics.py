@@ -2,9 +2,10 @@ import inspect
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import beziertrace.metrics as metrics
@@ -89,7 +90,7 @@ _STEEP = CubicBezier(Point2(0, 0), Point2(0.6148, -925.61),
 
 def _distance_tolerance(c, pts):
     """The largest gap allowed between a distance and the oracle's minimum:
-    the piece search's 1e-9 px, plus 1e-13 of the largest coordinate for
+    the search's 1e-9 px, plus 1e-13 of the largest coordinate for
     rounding."""
     return 1e-9 + 1e-13 * max(abs(v) for p in (*c, *pts) for v in p)
 
@@ -311,7 +312,7 @@ def test_farthest_matches_full_pass_on_random_runs(case):
 
 def test_farthest_sweeps_few_points_exactly(monkeypatch):
     # the closed-form fit of a noisy half circle turns back along its chord
-    # (lip <= 0), so every point farthest measures takes the piece search:
+    # (lip <= 0), so every point farthest measures takes the sign search:
     # its break must leave nearly all unmeasured
     rng = random.Random(8)
     pts = [Point2(150.0 - 150.0 * math.cos(math.pi * k / 499)
@@ -319,9 +320,9 @@ def test_farthest_sweeps_few_points_exactly(monkeypatch):
                   -150.0 * math.sin(math.pi * k / 499) + rng.uniform(-2, 2))
            for k in range(500)]
     fit = fit_segment(pts, FitConfig())[0]
-    got, searched = _piece_search(
+    got, searched = _sign_searched(
         monkeypatch, lambda: farthest(pts, fit, 1, len(pts) - 1))
-    want, every = _piece_search(
+    want, every = _sign_searched(
         monkeypatch, lambda: _unpruned_farthest(pts, fit, 1, len(pts) - 1))
     assert len(every) == len(pts) - 2  # no point is certified
     assert 0 < len(searched) <= 0.03 * len(pts)
@@ -410,46 +411,52 @@ def test_farthest_is_a_largest_certified_distance(case):
     assert (i, d) == _unpruned_farthest(*case)
 
 
-def _de_casteljau_halves(c):
-    """The halves of the cubic c at u = 1/2, by the midpoints of its control
-    polygon, of those midpoints, and of theirs."""
-    def mid(p, q):
-        return 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
-    p01, p12, p23 = mid(c[0], c[1]), mid(c[1], c[2]), mid(c[2], c[3])
-    p012, p123 = mid(p01, p12), mid(p12, p23)
-    m = mid(p012, p123)
-    return (tuple(c[0]), p01, p012, m), (m, p123, p23, tuple(c[3]))
+def _exact_quintic(c, p):
+    """The Bernstein coefficients of (B - p) . B' / 3 over [0, 1], in
+    exact rationals."""
+    q = [(Fraction(x) - Fraction(p[0]), Fraction(y) - Fraction(p[1]))
+         for x, y in c]
+    steps = [(q[j + 1][0] - q[j][0], q[j + 1][1] - q[j][1]) for j in range(3)]
+    g = [Fraction(0)] * 6
+    for i in range(4):
+        for j in range(3):
+            w = Fraction(math.comb(3, i) * math.comb(2, j), math.comb(5, i + j))
+            g[i + j] += w * (q[i][0] * steps[j][0] + q[i][1] * steps[j][1])
+    return g
+
+
+def _exact_halves(g):
+    left, right = [], []
+    while g:
+        left.append(g[0])
+        right.append(g[-1])
+        g = [(v + w) / 2 for v, w in zip(g, g[1:])]
+    return left, right[::-1]
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8),
-       st.lists(st.booleans(), max_size=16), st.floats(-2e6, 2e6),
+       st.lists(st.booleans(), max_size=60), st.floats(-2e6, 2e6),
        st.floats(-2e6, 2e6))
 @example([0.0, 0.0, 0.6148, -925.61, 2.3242, -993.02, 3.0, 0.0],
          [False, True, True, False], 0.244, -277.74395)
-@example([0.0, 0.0, 512.0, 0.0, 1024.0, 0.0, 1536.0, 0.0], [True] * 8,
+@example([0.0, 0.0, 512.0, 0.0, 1024.0, 0.0, 1536.0, 0.0], [True] * 60,
          1500.0, 0.0)
-def test_pieces_are_de_casteljau_halves_that_bound_their_arcs(coords, path,
-                                                               px, py):
-    # down a random path of halves: each pair is built once and kept, is
-    # the de Casteljau split bit for bit, and splits the parameter range at
-    # its middle; and no point of a piece's arc is closer to (px, py) than
-    # its chord distance less its flatness, up to rounding
+def test_quintic_halves_stay_within_their_rounding(coords, path, px, py):
+    # down a random path of halves, the sign search's coefficients of
+    # (B - p) . B' / 3 are de Casteljau's halves, share their middle one,
+    # and stay within the documented rounding of the exact ones
     c = CubicBezier(*map(Point2, coords[::2], coords[1::2]))
-    tol = 1e-13 * (max(map(abs, coords)) + abs(px) + abs(py)) + 1e-12
-    piece = metrics._Piece(c, 0.0, 1.0, 0)
-    for right in [False, *path]:
-        low, high = halves = piece.halves()
-        assert piece.halves() is halves
-        assert repr(tuple(tuple(map(tuple, h.c)) for h in halves)) \
-            == repr(_de_casteljau_halves(piece.c))
-        m = 0.5 * (piece.a + piece.b)
-        assert (low.a, low.b, high.a, high.b) == (piece.a, m, m, piece.b)
-        assert low.depth == high.depth == piece.depth + 1
-        lb = piece.bound(px, py)[0] - piece.flat
-        for k in range(33):
-            q = evaluate(c, piece.a + (piece.b - piece.a) * k / 32)
-            assert lb <= math.hypot(q.x - px, q.y - py) + tol
-        piece = halves[right]
+    _, rows, scale, big = metrics._quintic(c)
+    e = scale * (big + abs(px) + abs(py))
+    assert big == max(map(abs, coords))
+    g = [a - px * vx - py * vy for a, vx, vy in rows]
+    exact = _exact_quintic(c, (px, py))
+    for right in path:
+        assert all(abs(v - w) <= e for v, w in zip(g, exact, strict=True))
+        low, high = metrics._halves(g)
+        assert (low[0], low[5], high[5]) == (g[0], high[0], g[5])
+        g, exact = (high if right else low), _exact_halves(exact)[right]
+    assert all(abs(v - w) <= e for v, w in zip(g, exact, strict=True))
 
 
 def _out_of_range_cases():
@@ -650,21 +657,29 @@ def _control_run(controls, m, noise, seed):
                       2, 0, 0))
 @example(_control_run([70.0, 0.0, 0.0, 94.0, 0.0, 0.03125, 0.0, 0.0],
                       250, 1, 1))
+# three equal control points, so B' and B'' vanish at the start, and a point
+# on the curve near there: the search's first coefficient of the interval
+# [1/128, 1/64] is within its rounding of 0, and the root lies 8.3e-5 in u
+# inside it.  Taking that end read 1.9e-6 px; Newton's method in the
+# bracket reads the minimum
+@example((CubicBezier(Point2(0.0, 2.0 ** -14), Point2(0.0, 2.0 ** -14),
+                      Point2(0.0, 2.0 ** -14), Point2(0.0, -124.0)),
+          [Point2(0, 0)]))
 def test_segment_distances_match_full_scan_oracle_on_random_runs(run):
     c, pts = run
     assert _near(curve_distances(pts, c), reference_curve_distances(pts, c))
 
 
-def _piece_search(monkeypatch, measure):
-    """measure() and the points it sent to the piece search."""
-    nearest = metrics._nearest
+def _sign_searched(monkeypatch, measure):
+    """measure() and the points it sent to the sign search."""
+    search = metrics._sign_search
     searched = []
 
-    def counting(root, px, py, *found):
+    def counting(kit, consts, px, py, *start):
         searched.append(Point2(px, py))
-        return nearest(root, px, py, *found)
+        return search(kit, consts, px, py, *start)
 
-    monkeypatch.setattr(metrics, "_nearest", counting)
+    monkeypatch.setattr(metrics, "_sign_search", counting)
     got = measure()
     monkeypatch.undo()
     return got, searched
@@ -684,10 +699,19 @@ def _piece_search(monkeypatch, measure):
     # turns negative before 2 d0 / lip
     (_ARCH, [Point2(0, -15)]),
     (_ARCH, [Point2(20, 5)]),
-], ids=["coincident-ends", "doubles-back", "below-arch", "inside-arch"])
-def test_points_the_bound_cannot_certify_take_the_piece_search(monkeypatch,
+    # a point on a loop with coincident ends: Newton's method in the
+    # search's bracket must end on a Newton step, not on a bisection, which
+    # read 1.95e-6 px here
+    (CubicBezier(Point2(0.5, 22), Point2(252, 0), Point2(0, -7),
+                 Point2(0.5, 22)),
+     [Point2(46.067137002944946, 5.253373205661774)]),
+    # four equal control points, so every coefficient of the search is 0
+    (CubicBezier(*[Point2(0.0, 0.0)] * 4), [Point2(0.0, 0.0)]),
+], ids=["coincident-ends", "doubles-back", "below-arch", "inside-arch",
+        "on-a-loop", "one-point"])
+def test_points_the_bound_cannot_certify_take_the_sign_search(monkeypatch,
                                                                c, pts):
-    got, searched = _piece_search(monkeypatch,
+    got, searched = _sign_searched(monkeypatch,
                                   lambda: curve_distances(pts, c))
     assert searched == pts
     assert _near(got, reference_curve_distances(pts, c))
@@ -706,12 +730,12 @@ def _stars_and_ellipse():
     return loops
 
 
-def test_spline_errors_takes_the_piece_search_for_few_points(monkeypatch):
+def test_spline_errors_takes_the_sign_search_for_few_points(monkeypatch):
     # traced stars and a long ellipse, fitted with the defaults; the
-    # certificate left 1 of their 4712 points to the piece search here
+    # certificate left 1 of their 4712 points to the sign search here
     loops = _stars_and_ellipse()
     pairs = [(loop, fit_outline(loop)[0]) for loop in loops]
-    _, searched = _piece_search(monkeypatch, lambda: [spline_errors(*pair)
+    _, searched = _sign_searched(monkeypatch, lambda: [spline_errors(*pair)
                                                       for pair in pairs])
     points = sum(loop.n for loop in loops)
     assert points > 4500
@@ -749,11 +773,11 @@ def test_spline_errors_takes_few_curve_evaluations_per_point():
     assert points <= count <= 1.9 * points
 
 
-def test_piece_search_visits_few_pieces_per_point(monkeypatch):
+def test_sign_search_halves_few_intervals_per_point(monkeypatch):
     # a 5,000-point circle, fitted and measured with the defaults: its
     # whole-loop fits have coincident ends, so hundreds of points take the
-    # piece search, and each visits a handful of pieces (at most 13 and 8.5
-    # on average here), however long the loop
+    # sign search, and each halves a handful of intervals (at most 6 and
+    # 3.1 on average here), however long the loop
     r, m = 650, 41_000
     pts = []
     for k in range(m):
@@ -762,30 +786,180 @@ def test_piece_search_visits_few_pieces_per_point(monkeypatch):
         if not pts or p != pts[-1]:
             pts.append(p)
     loop = Contour(pts[:-1] if pts[-1] == pts[0] else pts)
-    certified, nearest = metrics._certified, metrics._nearest
-    visits, per_point = [], []
+    search, halves = metrics._sign_search, metrics._halves
+    per_point = []
 
-    def counting_certified(c, whole=True):
-        distance = certified(c, whole)
+    def counting_search(*args):
+        per_point.append(0)
+        return search(*args)
 
-        def counting(*args):
-            visits.append(args)
-            return distance(*args)
-        return distance if whole else counting
+    def counting_halves(g):
+        per_point[-1] += 1
+        return halves(g)
 
-    def counting_nearest(*args):
-        before = len(visits)
-        got = nearest(*args)
-        per_point.append(len(visits) - before)
-        return got
-
-    monkeypatch.setattr(metrics, "_certified", counting_certified)
-    monkeypatch.setattr(metrics, "_nearest", counting_nearest)
+    monkeypatch.setattr(metrics, "_sign_search", counting_search)
+    monkeypatch.setattr(metrics, "_halves", counting_halves)
     spline_errors(loop, fit_outline(loop)[0])
     assert 4900 < loop.n < 5100
     assert len(per_point) > 200
-    assert max(per_point) <= 20
-    assert sum(per_point) <= 12 * len(per_point)
+    assert max(per_point) <= 10
+    assert sum(per_point) <= 4 * len(per_point)
+
+
+def _centre_of_curvature(c, u):
+    """The centre of the osculating circle of c at u."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    v = 1.0 - u
+    tx = 3 * (v * v * (x1 - x0) + 2 * u * v * (x2 - x1) + u * u * (x3 - x2))
+    ty = 3 * (v * v * (y1 - y0) + 2 * u * v * (y2 - y1) + u * u * (y3 - y2))
+    ax = 6 * (v * (x2 - 2 * x1 + x0) + u * (x3 - 2 * x2 + x1))
+    ay = 6 * (v * (y2 - 2 * y1 + y0) + u * (y3 - 2 * y2 + y1))
+    k = (tx * tx + ty * ty) / (tx * ay - ty * ax)
+    q = evaluate(c, u)
+    return Point2(q.x - k * ty, q.y + k * tx)
+
+
+# four control points on a quarter circle of radius 100 about the origin,
+# the usual cubic of a quarter circle, which stays within 0.03 px of it
+_QUARTER = CubicBezier(Point2(100.0, 0.0), Point2(100.0, 55.22847498307936),
+                       Point2(55.22847498307936, 100.0), Point2(0.0, 100.0))
+
+
+@pytest.mark.parametrize("c, p", [
+    (_QUARTER, Point2(0.0, 0.0)),
+    (_ARCH, _centre_of_curvature(_ARCH, 0.5)),
+    (_BOW, _centre_of_curvature(_BOW, 0.3)),
+], ids=["quarter-circle", "arch-apex", "bow"])
+def test_centre_of_curvature_reads_the_oracle_minimum(monkeypatch, c, p):
+    # f = |B - p|^2 is flat where p is a centre of curvature: f'' is 0 there,
+    # or nearly so all along the quarter circle, so no certificate holds
+    # and the sign search has near-zero coefficients to read
+    got, searched = _sign_searched(monkeypatch, lambda: (
+        curve_distances([p], c)[0], farthest([p], c, 0, 1)[1]))
+    assert searched == [p, p]
+    want = reference_distance(p, c)
+    assert all(abs(d - want) <= 1e-9 for d in got), (got, want)
+
+
+# the S-shaped fit of a tooth of the benchmark's square-wave loop (long_loops,
+# seed 1), whose handles swing about 18 px sideways over an 11 px chord, and
+# the tooth's contour points the report measured by the search
+_TOOTH = CubicBezier(Point2(151.0, 772.0),
+                     Point2(154.6666666666667, 789.8619047619051),
+                     Point2(158.3333333333334, 764.8616402116404),
+                     Point2(162.0, 772.0))
+_TOOTH_POINTS = [Point2(151.0, 774.0), Point2(151.0, 775.0),
+                 Point2(151.0, 776.0), Point2(151.0, 777.0),
+                 Point2(151.0, 778.0), Point2(152.0, 778.0),
+                 Point2(154.0, 778.0), Point2(156.0, 778.0),
+                 Point2(157.0, 778.0), Point2(157.0, 777.0),
+                 Point2(157.0, 773.0), Point2(157.0, 772.0),
+                 Point2(158.0, 772.0), Point2(160.0, 772.0),
+                 Point2(161.0, 772.0)]
+
+
+def test_square_wave_teeth_read_the_oracle_minimum(monkeypatch):
+    # the certificate's radius, 2 d0 / lip, uses the speed along the chord,
+    # so it reaches where f'' turns negative and these points take the sign
+    # search, in a run and one by one as the split search measures them
+    pts = _TOOTH_POINTS
+    want = [reference_distance(p, _TOOTH) for p in pts]
+    got, searched = _sign_searched(monkeypatch, lambda: (
+        curve_distances(pts, _TOOTH),
+        [farthest(pts, _TOOTH, j, j + 1)[1] for j in range(len(pts))]))
+    assert len(searched) >= len(pts)
+    for dists in got:
+        assert all(abs(d - w) <= 1e-9 for d, w in zip(dists, want, strict=True))
+
+
+@st.composite
+def _stalls(draw):
+    """(curve, point): a cubic whose derivative vanishes at u0, a cusp
+    inside the curve or a stop at an end, and a point 1e-12 to 1 times the
+    curve's size from B(u0)."""
+    size = draw(st.floats(1, 1000))
+    xy = st.floats(-1, 1)
+    d0, d1, d2 = [(size * draw(xy), size * draw(xy)) for _ in range(3)]
+    u0 = draw(st.sampled_from((0.0, 1.0, 0.5, draw(st.floats(0.05, 0.95)))))
+    if u0 == 0.0:
+        d0 = (0.0, 0.0)
+    elif u0 == 1.0:
+        d2 = (0.0, 0.0)
+    else:   # (1 - u0)^2 D0 + 2 u0 (1 - u0) D1 + u0^2 D2 = 0
+        d1 = tuple(-((1 - u0) ** 2 * a + u0 ** 2 * b) / (2 * u0 * (1 - u0))
+                   for a, b in zip(d0, d2))
+    x, y = draw(st.floats(-1000, 1000)), draw(st.floats(-1000, 1000))
+    ctrl = [Point2(x, y)]
+    for dx, dy in (d0, d1, d2):
+        ctrl.append(Point2(ctrl[-1].x + dx, ctrl[-1].y + dy))
+    c = CubicBezier(*ctrl)
+    q = evaluate(c, u0)
+    r = size * 10.0 ** draw(st.floats(-12, 0))
+    angle = draw(st.floats(0, 2 * math.pi))
+    return c, Point2(q.x + r * math.cos(angle), q.y + r * math.sin(angle))
+
+
+_CUSP = CubicBezier(Point2(0, 0), Point2(100, 100), Point2(0, 100),
+                    Point2(100, 0))
+
+
+@given(_stalls())
+# points between the two branches of _CUSP, just below its cusp at
+# (50, 75), with two minima of f a few 1e-6 apart in u.  The sign search's
+# coefficients are all within their rounding of 0 there, and taking an
+# end of that flat interval read the cusp, up to 5.0e-7 px above the
+# minimum
+@example((_CUSP, Point2(50, 75 - 5e-7)))
+@example((_CUSP, Point2(50 - 3e-7, 75 - 6e-7)))
+@example((_CUSP, Point2(50 - 8e-7, 75 - 6e-7)))
+def test_points_near_a_stall_read_the_oracle_minimum(case):
+    c, p = case
+    want = reference_distance(p, c)
+    tol = _distance_tolerance(c, [p])
+    assert abs(curve_distances([p], c)[0] - want) <= tol
+    assert abs(farthest([p], c, 0, 1)[1] - want) <= tol
+
+
+def _radius_of_certainty(c):
+    """D* of _certified, without its pads: with lip the curve's least speed
+    along its chord, vmax its greatest speed and amax its greatest
+    acceleration, (lip^2 / amax - 2 vmax 1e-8) / (1 + 2 vmax / lip)."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    steps = [(x1 - x0, y1 - y0), (x2 - x1, y2 - y1), (x3 - x2, y3 - y2)]
+    cx, cy = x3 - x0, y3 - y0
+    lip = 3 * min(dx * cx + dy * cy for dx, dy in steps) / math.hypot(cx, cy)
+    vmax = 3 * max(math.hypot(dx, dy) for dx, dy in steps)
+    amax = 6 * max(math.hypot(x0 - 2 * x1 + x2, y0 - 2 * y1 + y2),
+                   math.hypot(x1 - 2 * x2 + x3, y1 - 2 * y2 + y3))
+    if amax == 0.0:
+        return math.inf
+    return (lip * lip / amax - 2 * vmax * 1e-8) / (1 + 2 * vmax / lip)
+
+
+@given(st.floats(-300, 300), st.floats(-300, 300), st.floats(-300, 300),
+       st.floats(-300, 300), st.floats(0.02, 0.98), st.floats(0.02, 0.98),
+       st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 1),
+       st.floats(0, 2 * math.pi), st.floats(0, 1))
+def test_points_within_the_radius_of_certainty_read_the_oracle_minimum(
+        ax, ay, bx, by, s1, s2, h1, h2, u0, angle, reach):
+    # a cubic whose control steps all move forward along its chord
+    # (lip > 0), and a point within 2 D* of its point at u0, measured from
+    # u0: a point that takes no search was certified by the comparison
+    # with D* alone, so its distance is below D*, and it is the minimum
+    assume(math.hypot(bx - ax, by - ay) > 1.0 and abs(s2 - s1) > 0.01)
+    s1, s2 = sorted((s1, s2))
+    c = _monotone_cubic(Point2(ax, ay), Point2(bx, by), s1, s2, h1, h2)
+    radius = _radius_of_certainty(c)
+    assume(radius > 0.0)
+    q = evaluate(c, u0)
+    r = reach * min(2.0 * radius, 100.0)
+    p = Point2(q.x + r * math.cos(angle), q.y + r * math.sin(angle))
+    measure, out = metrics._certified(c), []
+    with pytest.MonkeyPatch.context() as patch:
+        _, searched = _sign_searched(patch, lambda: measure([p], u0, out))
+    assume(not searched)
+    assert out[0] < radius
+    assert abs(out[0] - reference_distance(p, c)) <= 1e-9
 
 
 @pytest.mark.parametrize("max_error", [0.3, 0.8])

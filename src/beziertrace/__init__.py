@@ -8,8 +8,9 @@ stays too dispersed, then measure and serialize the result.
 
 from .bezier_core import (BlendingVector, CubicBezier, Point2, blend, evaluate,
                           perpendicular_distance, project_parameter)
-from .contour import (Contour, ContourDocument, RasterImage, load_image,
-                      read_contour, trace_boundaries, write_contour)
+from .contour import (Contour, ContourDocument, PackedImage, RasterImage,
+                      load_image, read_bitmap, read_contour, trace_boundaries,
+                      write_contour)
 from .corner_detect import CornerParams, CornerSet, detect_corners, \
     segment_boundaries
 from .errors import (BezierTraceError, ConsistencyError, DegenerateChordError,
@@ -32,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BlendingVector", "CubicBezier", "Point2", "blend", "evaluate",
     "perpendicular_distance", "project_parameter",
-    "Contour", "ContourDocument", "RasterImage", "load_image", "read_contour",
-    "trace_boundaries", "write_contour",
+    "Contour", "ContourDocument", "PackedImage", "RasterImage", "load_image",
+    "read_bitmap", "read_contour", "trace_boundaries", "write_contour",
     "CornerParams", "CornerSet", "detect_corners", "segment_boundaries",
     "BezierTraceError", "ConsistencyError", "DegenerateChordError",
     "DegenerateSegmentError", "DomainError", "FormatError",

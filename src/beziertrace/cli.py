@@ -16,8 +16,10 @@ import sys
 import time
 from dataclasses import asdict
 
-from .contour import (ContourDocument, load_image, read_contour,
-                      trace_boundaries, write_contour)
+# load_image is no longer called here, but perfbench/spans.py wraps this
+# module's binding of it
+from .contour import (ContourDocument, load_image, read_bitmap,
+                      read_contour, trace_boundaries, write_contour)
 from .corner_detect import CornerParams, detect_corners
 from .errors import BezierTraceError, ConsistencyError, DomainError, FormatError
 from .metrics import FitReport, fit_report, report_from_errors, spline_errors
@@ -171,7 +173,7 @@ def _refuse_overwrite(source: str, outputs, what: str, pick: str) -> None:
 
 def cmd_trace(args) -> int:
     _refuse_overwrite(args.image, [args.output], "image", "output path")
-    img = load_image(args.image)
+    img = read_bitmap(args.image)  # a raw raster stays packed: no page
     contours = trace_boundaries(img)
     write_contour(args.output, ContourDocument(img.width, img.height, contours))
     counts = ", ".join(str(c.n) for c in contours) or "none"

@@ -22,6 +22,9 @@ _CW8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 # between the pixel and its east neighbour.
 _VISITED = 1
 _EAST_CLOSED = 2
+# backtrack directions (_CW8 indices) at a loop's first pixel: an outer's
+# first pixel is entered from its west, a hole's from the background below
+_WEST, _SOUTH = 4, 2
 # any nonzero byte is object, as in RasterImage.at
 _AS_BIT = bytes([0] + [1] * 255)
 
@@ -48,6 +51,19 @@ class RasterImage:
         if 0 <= x < self.width and 0 <= y < self.height:
             return bool(self.bits[y * self.width + x])
         return False
+
+
+@dataclass
+class PackedImage:
+    """A raw (P4) raster left packed, as read_bitmap found it: height rows
+    of (width + 7) // 8 bytes from data[start], each pixel one bit, most
+    significant first, 1 = object.  Bits past width in a row's last byte
+    are padding and never pixels."""
+
+    width: int
+    height: int
+    data: bytes
+    start: int
 
 
 @dataclass
@@ -142,12 +158,12 @@ class _Scanner:
                              offset=start) from None
 
 
-def load_image(path: str) -> RasterImage:
+def read_bitmap(path: str) -> RasterImage | PackedImage:
     """Read a 1-bit portable bitmap (plain or raw); 1/black is the object.
     A plain raster is decoded by translates, a stretch of its text at a
-    time.  A raw row is one big-endian integer, its stride * 8 binary
-    digits cut to width; one translate per band of live rows (_bands), none
-    for blank ones."""
+    time, into a RasterImage.  A raw raster is checked and kept packed, as
+    a PackedImage: trace_boundaries decodes only its live bands, so the page
+    is never built."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -198,36 +214,98 @@ def load_image(path: str) -> RasterImage:
             if c not in b"01":
                 raise sc.error(f"unexpected raster byte {chr(c)!r}")
             sc.pos += 1
-    else:
-        # exactly one separator byte after the header, then packed rows
-        if sc.pos >= len(data) or data[sc.pos] not in _Scanner._WS:
-            raise sc.error("expected whitespace before raw raster")
-        sc.pos += 1
-        stride = (width + 7) // 8
-        need = stride * height
-        if len(data) - sc.pos < need:
-            raise sc.error(
-                f"truncated raster: {len(data) - sc.pos} bytes for "
-                f"{width}x{height} pixels", offset=len(data))
-        if len(data) - sc.pos > need:
-            raise sc.error("trailing data after raster", offset=sc.pos + need)
-        digits = f"0{stride * 8}b"
-        bits = bytearray(width * height)
-        for a, b in _bands(data, sc.pos, stride, height):
-            bits[a * width:b * width] = "".join(
-                format(int.from_bytes(data[i:i + stride], "big"), digits)[:width]
-                for i in range(sc.pos + a * stride, sc.pos + b * stride, stride)
-            ).encode().translate(_DIGIT_BIT)
-    return RasterImage(width, height, bits)
+        return RasterImage(width, height, bits)
+    # exactly one separator byte after the header, then packed rows
+    if sc.pos >= len(data) or data[sc.pos] not in _Scanner._WS:
+        raise sc.error("expected whitespace before raw raster")
+    sc.pos += 1
+    need = (width + 7) // 8 * height
+    if len(data) - sc.pos < need:
+        raise sc.error(
+            f"truncated raster: {len(data) - sc.pos} bytes for "
+            f"{width}x{height} pixels", offset=len(data))
+    if len(data) - sc.pos > need:
+        raise sc.error("trailing data after raster", offset=sc.pos + need)
+    return PackedImage(width, height, data, sc.pos)
+
+
+def load_image(path: str) -> RasterImage:
+    """Read a 1-bit portable bitmap (plain or raw) into a whole page.  A raw
+    raster's live bands are decoded as the tracer decodes them
+    (_framed_bands) and pasted into a zeroed page."""
+    img = read_bitmap(path)
+    if isinstance(img, RasterImage):
+        return img
+    w = img.width
+    bits = bytearray(w * img.height)
+    for top, left, fw, band in _framed_bands(img):
+        for r in range(fw, len(band) - fw, fw):  # each row inside the frame
+            at = (top + r // fw) * w + left + 1
+            bits[at:at + fw - 2] = band[r + 1:r + fw - 1]
+    return RasterImage(w, img.height, bits)
 
 
 # ------------------------------ boundary tracing -----------------------------
 
 
-def _moore_trace(bits, marks, ring, start, back):
+def _framed_bands(img: RasterImage | PackedImage):
+    """Each band of live rows of img (_bands), cropped to its live byte
+    columns and copied into a grid framed by 0-pixels, as (page row and
+    column of the frame's top-left pixel, row stride, grid).  In the grid,
+    1 is object and 0 background.
+
+    The live columns are the OR of the band's rows as big integers, stripped
+    of zero bytes at both ends; every other column is blank in every row of
+    the band, so the frame reads as they or the image edge would.  A band
+    is framed in two passes: one join puts two frame bytes between its rows,
+    and one translate makes each object byte 1.  A packed row is one
+    big-endian integer of its live bytes, written as binary digits and cut
+    at the width, so padding bits never become pixels; the digits are
+    joined and translated the same way.
+    """
+    w, packed = img.width, isinstance(img, PackedImage)
+    buf, start, stride = ((img.data, img.start, (w + 7) // 8) if packed
+                          else (img.bits, 0, w))
+    view = memoryview(buf)
+    for y0, y1 in _bands(buf, start, stride, img.height):
+        rows = [view[i:i + stride] for i in
+                range(start + y0 * stride, start + y1 * stride, stride)]
+        live = 0
+        for row in rows:
+            live |= int.from_bytes(row, "big")
+        live = live.to_bytes(stride, "big")
+        a, b = stride - len(live.lstrip(b"\0")), len(live.rstrip(b"\0"))
+        if packed:
+            x0, cols, digits = 8 * a, min(8 * b, w) - 8 * a, f"0{8 * (b - a)}b"
+            edge = "0" * (cols + 1)  # with a separator: a frame row and pixel
+            band = "00".join([edge, *(
+                format(int.from_bytes(row[a:b], "big"), digits)[:cols]
+                for row in rows), edge]).encode().translate(_DIGIT_BIT)
+        else:
+            x0, cols, edge = a, b - a, bytes(b - a + 1)
+            band = bytearray(b"\0\0").join(
+                [edge, *(row[a:b] for row in rows), edge]).translate(_AS_BIT)
+        yield y0 - 1, x0 - 1, cols + 2, band
+
+
+def _moore_table(fw: int) -> list[tuple]:
+    """For each direction of the backtrack (a _CW8 index), the seven Moore
+    probes clockwise after it in a grid of row stride fw, as flat offsets,
+    and a map from each to the direction from that pixel back to the one
+    probed before it, and whether the scan passed the east neighbour on
+    its way there."""
+    steps = [dx + dy * fw for dx, dy in _CW8]
+    direction = {step: d for d, step in enumerate(steps)}
+    return [(steps[d + 1:] + steps[:d],
+             {steps[k % 8]: (direction[steps[k % 8 - 1] - steps[k % 8]],
+                             d == 0 or k > 8)  # probes d .. k - 1 hold east
+              for k in range(d + 1, d + 8)}) for d in range(8)]
+
+
+def _moore_trace(bits, marks, table, start, back):
     """Follow one boundary loop of the framed grid from the pixel start,
-    entered from its background neighbour back; ring holds the flat
-    offsets of the Moore neighbours clockwise from east, twice over.
+    entered from its background neighbour in direction back; table is the
+    grid's _moore_table.
 
     Each step scans clockwise around the current pixel from its backtrack
     to the next object pixel; the background pixel scanned just before it
@@ -236,27 +314,28 @@ def _moore_trace(bits, marks, ring, start, back):
     """
     marks[start] |= _VISITED
     loop = [start]
-    seen = {(start, back)}
+    seen = {start * 8 + back}  # states: pixel * 8 + backtrack direction
     cur = start
     while True:
-        k = ring.index(back - cur)
-        for step in ring[k:k + 8]:  # the first probe is back, background
-            nxt = cur + step
-            if bits[nxt]:
+        probes, turns = table[back]  # the backtrack itself is background
+        for step in probes:
+            if bits[cur + step]:
                 break
-            if step == 1:
-                marks[cur] |= _EAST_CLOSED
-            back = nxt
         else:
+            marks[cur] |= _EAST_CLOSED
             return loop  # an isolated pixel
+        back, east = turns[step]
+        if east:
+            marks[cur] |= _EAST_CLOSED
+        cur += step
         # Jacob's criterion: the start state comes round again; any other
         # repeat is a safety net, and validation rejects the loop if broken
-        if (nxt, back) in seen:
+        state = cur * 8 + back
+        if state in seen:
             return loop
-        seen.add((nxt, back))
-        loop.append(nxt)
-        marks[nxt] |= _VISITED
-        cur = nxt
+        seen.add(state)
+        loop.append(cur)
+        marks[cur] |= _VISITED
 
 
 def _loop_violation(xs, ys) -> str | None:
@@ -283,50 +362,47 @@ def _points(xs, ys) -> list[Point2]:
                     zip(map(float, xs), map(float, ys))))
 
 
-def trace_boundaries(img: RasterImage) -> list[Contour]:
+def trace_boundaries(img: RasterImage | PackedImage) -> list[Contour]:
     """Trace every outer and hole boundary of the object pixels.
 
     One raster scan finds each border at its first pixel (Suzuki & Abe,
     1985) from the marks earlier traces left; Moore-neighbor tracing with
     Jacob's stopping criterion follows it.  The object is 8-connected, the
-    background 4-connected.  Loops are returned ordered by the (row, column)
-    of their topmost-leftmost pixel; outer loops are oriented to positive
-    shoelace area and holes to negative.  Regions whose boundary cannot form
-    a valid loop (single pixels, one-pixel-wide features that force a pixel
-    to repeat) are dropped with a warning.
+    background 4-connected.  Loops are returned ordered by the page (row,
+    column) of their topmost-leftmost pixel, outer before hole; outer loops
+    are oriented to positive shoelace area and holes to negative.  Regions
+    whose boundary cannot form a valid loop (single pixels, one-pixel-wide
+    features that force a pixel to repeat) are dropped with a warning,
+    outers first, in raster order.
 
-    Each band of live rows (_bands) is copied into a grid framed by 0-pixels,
-    as Suzuki & Abe assume, and traced on flat indices: one join puts two
-    frame bytes between rows, one translate makes every object byte 1.  So
-    every probe and run end lands in the grid, where the frame reads as the
-    image edge or a blank row would.  No 8-connected object crosses a blank
-    row and no hole holds one, as it reaches the image edge: bands suffice.
+    Each band of live rows is cropped to its live columns and traced in a
+    grid framed by 0-pixels (_framed_bands), as Suzuki & Abe assume, on flat
+    indices: every probe and run end lands in the grid.  No 8-connected
+    object crosses a blank row, or a column blank across its band, and no
+    hole holds one, as it reaches the image edge: cropped bands suffice.
+    img is a page or a raw raster left packed (read_bitmap); both give the
+    same loops.
     """
-    w, h = img.width, img.height
-    fw = w + 2  # row stride of the framed grid
-    rows = memoryview(img.bits)
-    edge = bytes(fw - 1)  # with a separator: a frame row and one frame pixel
-    ring = tuple(dx + dy * fw for dx, dy in _CW8) * 2
-    outers, holes = [], []  # (row above the band, flat indices), raster order
-    for y0, y1 in _bands(img.bits, 0, w, h):
-        bits = bytearray(b"\0\0").join(
-            [edge, *(rows[i:i + w] for i in range(y0 * w, y1 * w, w)), edge]
-        ).translate(_AS_BIT)  # the join's copy is freed before marks is made
+    outers, holes = [], []  # (frame corner, stride, flat indices), raster order
+    for top, left, fw, bits in _framed_bands(img):
         marks = bytearray(len(bits))
+        table = _moore_table(fw)
         s = bits.find(1)  # runs in raster order, over the whole band at once
         while s >= 0:
             e = bits.find(0, s)  # the right frame column ends every run
             if not marks[s] & _VISITED:  # first pixel of a new object
-                outers.append((y0 - 1, _moore_trace(bits, marks, ring, s, s - 1)))
+                outers.append((top, left, fw, _moore_trace(
+                    bits, marks, table, s, _WEST)))
             if bits[e - fw] and not marks[e - 1] & _EAST_CLOSED:
                 # east of the run, below object, on no traced loop: a new hole
-                holes.append((y0 - 1, _moore_trace(bits, marks, ring, e - fw, e)))
+                holes.append((top, left, fw, _moore_trace(
+                    bits, marks, table, e - fw, _SOUTH)))
             s = bits.find(1, e)
 
     raw = [(*t, False) for t in outers] + [(*t, True) for t in holes]
     contours: list[tuple[tuple, Contour]] = []
-    for seq, (top, loop, is_hole) in enumerate(raw):
-        xs, ys = [i % fw - 1 for i in loop], [i // fw + top for i in loop]
+    for seq, (top, left, fw, loop, is_hole) in enumerate(raw):
+        xs, ys = [i % fw + left for i in loop], [i // fw + top for i in loop]
         problem = _loop_violation(xs, ys)
         if problem is not None:
             if len(loop) > 1:
@@ -337,7 +413,8 @@ def trace_boundaries(img: RasterImage) -> list[Contour]:
                 < sum(map(mul, xs[1:] + xs[:1], ys))) != is_hole:
             xs[1:], ys[1:] = xs[:0:-1], ys[:0:-1]  # keep the head
         # flat indices run in row-major order: the least is topmost-leftmost
-        contours.append(((min(loop) + top * fw, is_hole, seq),
+        head = min(loop)
+        contours.append(((head // fw + top, head % fw + left, is_hole, seq),
                          Contour(_points(xs, ys))))
 
     contours.sort(key=lambda item: item[0])

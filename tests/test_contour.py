@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from beziertrace.contour import (Contour, ContourDocument, RasterImage,
-                                 load_image, read_contour, trace_boundaries,
-                                 write_contour)
+from beziertrace import cli
+from beziertrace.contour import (Contour, ContourDocument, PackedImage,
+                                 RasterImage, load_image, read_bitmap,
+                                 read_contour, trace_boundaries, write_contour)
 from beziertrace.bezier_core import Point2
 from beziertrace.errors import FormatError
 
@@ -338,6 +339,86 @@ def test_trace_matches_two_flood_oracle():
         assert got == reference_trace(w, h, bits), (w, h, bytes(bits))
 
 
+def _traced_and_warned(img):
+    """trace_boundaries(img) as point lists, and the warnings it logged."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("beziertrace.contour")
+    logger.addHandler(handler)
+    try:
+        loops = trace_boundaries(img)
+    finally:
+        logger.removeHandler(handler)
+    return [c.points for c in loops], [r.getMessage() for r in records]
+
+
+def _p4(width, height, pixels, padding=()):
+    """The raw P4 bytes of a 0/1 pixel list, with the padding bits of row y
+    set to padding[y] (none if padding is empty)."""
+    stride = (width + 7) // 8
+    spare = stride * 8 - width
+    return b"P4\n%d %d\n" % (width, height) + b"".join(
+        ((int("".join(map(str, pixels[y * width:(y + 1) * width])), 2)
+          << spare) | (padding[y] if padding else 0)).to_bytes(stride, "big")
+        for y in range(height))
+
+
+@st.composite
+def _p4_pages(draw):
+    """A random page as pixels and padding bits: noise of a random density,
+    with some rows and columns blanked so that bands split and crop, any
+    pixel of the page edge may be set, and padding bits are random."""
+    width, height = draw(st.integers(1, 70)), draw(st.integers(1, 14))
+    density = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, 3), min_size=width * height,
+                          max_size=width * height))
+    blank_rows = draw(st.sets(st.integers(0, height - 1)))
+    blank_cols = draw(st.sets(st.integers(0, width - 1)))
+    pixels = [int(cells[y * width + x] < density and y not in blank_rows
+                  and x not in blank_cols)
+              for y in range(height) for x in range(width)]
+    spare = (-width) % 8
+    padding = draw(st.lists(st.integers(0, (1 << spare) - 1),
+                            min_size=height, max_size=height))
+    return width, height, pixels, padding
+
+
+@given(_p4_pages())
+@example((9, 3, [1] * 27, [0x7F, 0, 0x7F]))  # a full page, edges and padding
+@example((17, 4, [0, 1] * 34, [0x7F] * 4))  # stripes: crops at every column
+@example((3, 5, [1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0],
+          [0x1F, 0, 0x1F, 0x1F, 0]))  # a ring, a blank row of padding only
+def test_packed_trace_matches_page_trace_and_oracle(tmp_path_factory, page):
+    width, height, pixels, padding = page
+    path = tmp_path_factory.mktemp("p4") / "page.pbm"
+    path.write_bytes(_p4(width, height, pixels, padding))
+    packed = read_bitmap(path)
+    assert isinstance(packed, PackedImage)
+    streamed = _traced_and_warned(packed)
+    assert streamed == _traced_and_warned(load_image(path))
+    assert streamed[0] == reference_trace(width, height, pixels)
+
+
+def test_padding_bits_never_become_pixels(tmp_path):
+    # every padding bit set: the same loops and warnings as zero padding,
+    # from the packed raster and from the page alike
+    width, height = 21, 9
+    pixels = [int(0 < x < 18 and 0 < y < 8 and not (x == 7 and y == 4)
+                  or x >= 18 and y == 4)  # a 1-px tail out to the page edge
+              for y in range(height) for x in range(width)]
+    clean, padded = tmp_path / "clean.pbm", tmp_path / "padded.pbm"
+    clean.write_bytes(_p4(width, height, pixels))
+    padded.write_bytes(_p4(width, height, pixels, [0x07] * height))
+    assert clean.read_bytes() != padded.read_bytes()
+    want = _traced_and_warned(read_bitmap(clean))
+    assert len(want[0]) == 1 and want[1] == [  # the hole stays
+        "dropping outer boundary at (1, 1): loop revisits a pixel"]
+    assert _traced_and_warned(read_bitmap(padded)) == want
+    assert _traced_and_warned(load_image(padded)) == want
+    assert load_image(padded).bits == load_image(clean).bits
+
+
 def _traced_peak(fn, *args):
     """fn(*args), and the most memory it held at once by tracemalloc."""
     started = not tracemalloc.is_tracing()
@@ -366,12 +447,30 @@ def _square_page(tmp_path):
 
 
 def test_tracer_holds_only_the_live_band(tmp_path):
-    # the tracer frames only the square's band, 22 rows of 2002 bytes, and
-    # holds that and the band's marks at once: each is 1.1% of the page
-    page, _ = _square_page(tmp_path)
-    loops, peak = _traced_peak(trace_boundaries, page)
-    assert [c.n for c in loops] == [76]
-    assert peak < 0.03 * page.width * page.height
+    # the tracer frames only the square's band cropped to its live columns,
+    # 22 rows of 22 bytes, and holds that and the band's marks; the rest is
+    # the loop it returns and a row or two read as integers.  One uncropped
+    # framed band, 22 rows of 2002 bytes, would not fit in the bound
+    page, path = _square_page(tmp_path)
+    for img in (page, read_bitmap(path)):
+        loops, peak = _traced_peak(trace_boundaries, img)
+        assert [c.n for c in loops] == [76]
+        assert peak < 32_000
+
+
+def test_trace_command_holds_only_the_file_and_the_live_band(tmp_path,
+                                                             capsys):
+    # an 8000x8000 raw page (8 MB) with one 40x40 square: trace reads the
+    # file and decodes the square's band, and never builds the 64 MB page
+    w = 8000
+    row = (((1 << 40) - 1) << (w - 4040)).to_bytes(w // 8, "big")
+    path = tmp_path / "big.pbm"
+    path.write_bytes(b"P4\n%d %d\n" % (w, w) + b"".join(
+        row if 4000 <= y < 4040 else bytes(w // 8) for y in range(w)))
+    out = tmp_path / "big.contours.json"
+    code, peak = _traced_peak(cli.main, ["trace", str(path), "-o", str(out)])
+    assert code == 0 and "traced 1 loop(s) (points: 156)" in capsys.readouterr().out
+    assert peak < 1.1 * path.stat().st_size < 12e6
 
 
 def test_loader_holds_only_the_page_and_the_file(tmp_path):

@@ -270,7 +270,8 @@ def _fit_all(fittable, params, cfg, workers):
     fork) pipes back one pickle and ends in os._exit on every path.
     Shares run in index order to their first failure and a dead child
     fails at its first loop, so the error raised is the first in input
-    order."""
+    order.  A loop read by read_contour builds its Point2 list when it is
+    first fitted (Contour), so each process builds only its own share's."""
     n = min(workers, len(fittable)) if hasattr(os, "fork") else 1
     order = sorted(range(len(fittable)), key=lambda i: -fittable[i].n)
     children, ends = [], []

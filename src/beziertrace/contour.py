@@ -66,20 +66,54 @@ class PackedImage:
     start: int
 
 
-@dataclass
 class Contour:
     """One closed 8-connected pixel loop.
 
     Points are stored in traversal order; the loop closes from the last
     point back to the first.  Outer boundaries carry positive shoelace area
     under the stored (x, y) coordinates, holes negative.
+
+    trace_boundaries and read_contour build a contour from the integer x and
+    y columns they hold.  Its Point2 list is built from them the first time
+    points is read, and the columns are dropped then, so a list the caller
+    may change is never written from stale columns.  Until then n is their
+    length and write_contour writes them as they are.
     """
 
-    points: list[Point2] = field(default_factory=list)
+    __slots__ = ("_pts", "_cols")
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(self, points: list[Point2] | None = None):
+        self._pts = [] if points is None else points
+        self._cols = None
+
+    @classmethod
+    def _from_columns(cls, xs, ys) -> Contour:
+        c = cls.__new__(cls)
+        c._pts, c._cols = None, (xs, ys)
+        return c
+
+    @property
+    def points(self) -> list[Point2]:
+        if self._cols is not None:
+            self._pts, self._cols = _points(*self._cols), None
+        return self._pts
+
+    @points.setter
+    def points(self, value: list[Point2]) -> None:
+        self._pts, self._cols = value, None
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._pts if self._cols is None else self._cols[0])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points,) == (other.points,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(points={self.points!r})"
 
     def signed_area(self) -> float:
         pts = self.points
@@ -358,6 +392,7 @@ def _loop_violation(xs, ys) -> str | None:
 
 
 def _points(xs, ys) -> list[Point2]:
+    """The Point2 list of the integer columns xs and ys."""
     return list(map(_new_tuple, [Point2] * len(xs),
                     zip(map(float, xs), map(float, ys))))
 
@@ -381,7 +416,8 @@ def trace_boundaries(img: RasterImage | PackedImage) -> list[Contour]:
     object crosses a blank row, or a column blank across its band, and no
     hole holds one, as it reaches the image edge: cropped bands suffice.
     img is a page or a raw raster left packed (read_bitmap); both give the
-    same loops.
+    same loops.  Each loop is returned as the integer columns it was
+    checked in; no Point2 is built until its points are read (Contour).
     """
     outers, holes = [], []  # (frame corner, stride, flat indices), raster order
     for top, left, fw, bits in _framed_bands(img):
@@ -415,7 +451,7 @@ def trace_boundaries(img: RasterImage | PackedImage) -> list[Contour]:
         # flat indices run in row-major order: the least is topmost-leftmost
         head = min(loop)
         contours.append(((head // fw + top, head % fw + left, is_hole, seq),
-                         Contour(_points(xs, ys))))
+                         Contour._from_columns(xs, ys)))
 
     contours.sort(key=lambda item: item[0])
     return [c for _, c in contours]
@@ -426,15 +462,21 @@ def trace_boundaries(img: RasterImage | PackedImage) -> list[Contour]:
 # in, any bad byte, number or shape is a FormatError naming the file.
 
 
-def _write_json(path: str, payload) -> None:
+def _write_json(path: str, payload, check_circular: bool = True) -> None:
     """Write payload as canonical JSON: sorted keys, no spaces, ASCII and a
-    trailing newline.  Non-finite numbers are refused before the file is
-    opened."""
+    trailing newline.  A payload JSON cannot encode (a non-finite number, a
+    circular reference, a value of another type) is refused before the file
+    is opened.  check_circular=False skips json's cycle check, for a payload
+    whose every container the caller built itself."""
     try:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
+                          allow_nan=False, check_circular=check_circular)
     except ValueError as exc:
+        if str(exc).startswith("Circular reference"):
+            raise FormatError("document contains a circular reference") from exc
         raise FormatError(f"document contains non-finite numbers: {exc}") from exc
+    except TypeError as exc:
+        raise FormatError(f"document cannot be encoded as JSON: {exc}") from exc
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
 
@@ -500,13 +542,19 @@ def _pixel_pairs(where: str, points, path) -> list:
     return pairs
 
 
+def _exact_ints(xs, ys) -> bool:
+    """Whether the columns xs and ys hold only ints within +-2**53 (a bool
+    is no int), checked in bulk."""
+    return ({*map(type, xs), *map(type, ys)} == {int}
+            and max(map(abs, xs + ys)) <= _EXACT_INT)
+
+
 def _pixel_columns(raw, where: str, fail) -> tuple:
     """The x and y columns of raw, which holds only [x, y] pairs of integers
     within +-2**53: checked in bulk, pair by pair only to word the error."""
     if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
         xs, ys = zip(*raw)
-        if ({*map(type, xs), *map(type, ys)} == {int}  # a bool is no int
-                and max(map(abs, xs + ys)) <= _EXACT_INT):
+        if _exact_ints(xs, ys):
             return xs, ys
     for pi, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
@@ -519,23 +567,39 @@ def _pixel_columns(raw, where: str, fail) -> tuple:
     return tuple(zip(*raw)) or ((), ())
 
 
+def _loop_pairs(where: str, c: Contour, path) -> list:
+    """c's points as (x, y) pairs of ints: straight from its columns while
+    its points were never read or assigned, else by _pixel_pairs."""
+    cols = c._cols
+    if cols is not None and _exact_ints(*cols):
+        return list(zip(*cols))
+    return _pixel_pairs(where, c.points, path)
+
+
 def write_contour(path: str, doc: ContourDocument) -> None:
     """Write traced loops as a canonical JSON document.  A coordinate the
-    reader would refuse is a FormatError before the file is opened."""
+    reader would refuse is a FormatError before the file is opened.
+
+    A loop still held as integer columns (trace_boundaries, read_contour)
+    is written from them, checked in bulk; any other goes through its
+    points.  Every container of the payload is built here, so json's cycle
+    check is skipped when the dimensions are ints."""
     _write_json(path, {
         "width": doc.width,
         "height": doc.height,
         "contours": [
             {"closed": True,
-             "points": _pixel_pairs(f"contours[{ci}]", c.points, path)}
+             "points": _loop_pairs(f"contours[{ci}]", c, path)}
             for ci, c in enumerate(doc.contours)
         ],
-    })
+    }, check_circular=not (type(doc.width) is type(doc.height) is int))
 
 
 def read_contour(path: str) -> ContourDocument:
     """Read and validate a contour document written by ``write_contour``.
-    Each loop is checked in bulk and rescanned only to word its error."""
+    Each loop is checked in bulk and rescanned only to word its error, and
+    kept as the checked integer columns: its Point2 list is built when its
+    points are first read (Contour)."""
     payload, fail = _load_json(path, "contours", ("width", "height", "contours"))
     width = _integer(payload["width"], "width", 1, fail)
     height = _integer(payload["height"], "height", 1, fail)
@@ -556,5 +620,5 @@ def read_contour(path: str) -> ContourDocument:
         problem = _loop_violation(xs, ys)
         if problem is not None:
             raise fail(f"{where}.points", problem)
-        contours.append(Contour(_points(xs, ys)))
+        contours.append(Contour._from_columns(xs, ys))
     return ContourDocument(width, height, contours)

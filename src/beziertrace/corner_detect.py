@@ -237,6 +237,7 @@ def segment_boundaries(c: Contour, corners: CornerSet) -> list[tuple[int, int]]:
 
 def range_points(c: Contour, start: int, end: int) -> list[Point2]:
     """Points of the circular index range [start, end], both ends included."""
-    n = c.n
+    pts = c.points
+    n = len(pts)
     count = (end - start) % n + 1
-    return [c.points[(start + k) % n] for k in range(count)]
+    return [pts[(start + k) % n] for k in range(count)]

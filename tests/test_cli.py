@@ -622,6 +622,26 @@ def test_fit_repeat_warns_once_per_skipped_loop(tmp_path, caplog):
     assert outs[0] == outs[1]
 
 
+def test_points_are_built_only_in_the_fit_of_each_fitted_loop(tmp_path,
+                                                              monkeypatch):
+    # trace and read_contour keep every loop as integer columns; fit builds
+    # a loop's Point2 list once, when it fits the loop, and never for the
+    # hole skipped as too short, however many repeats it times
+    from beziertrace import contour
+    built, points = [], contour._points
+    monkeypatch.setattr(contour, "_points",
+                        lambda xs, ys: built.append(len(xs)) or points(xs, ys))
+    p = tmp_path / "holes.pbm"
+    p.write_bytes(pbm_raw_bytes(rect_with_hole_image()))
+    traced = _trace(tmp_path, p, "holes.json")
+    assert built == []
+    doc = contour.read_contour(traced)
+    assert built == [] and [c.n for c in doc.contours] == [52, 12]
+    assert main(["fit", str(traced), "-o", str(tmp_path / "fit"),
+                 "--threads", "1", "--repeat", "2"]) == 0
+    assert built == [52]
+
+
 def test_module_entry_point(tmp_path, rect_pbm):
     out = tmp_path / "m.json"
     # the child imports the package from where this process found it

@@ -685,6 +685,45 @@ def test_write_contour_names_the_first_bad_point(tmp_path, pi, axis, shown,
     assert not path.exists()
 
 
+def _written_or_refused(path, doc) -> bytes | str:
+    try:
+        write_contour(path, doc)
+    except FormatError as exc:
+        assert not path.exists()
+        return str(exc)
+    return path.read_bytes()
+
+
+# edits of a loop's points after trace_boundaries or read_contour built it
+_EDITS = {
+    "moved in place": lambda c: c.points.__setitem__(0, Point2(-1.0, -1.0)),
+    "fraction in place": lambda c: c.points.__setitem__(2, Point2(0.5, 3.0)),
+    "appended": lambda c: c.points.append(Point2(7.0, 7.0)),
+    "assigned": lambda c: setattr(c, "points", c.points[::-1][:5]),
+    "assigned nan": lambda c: setattr(c, "points", [Point2(float("nan"), 0)]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+@pytest.mark.parametrize("source", ["traced", "read"])
+def test_write_contour_follows_points_edited_after_a_read(tmp_path, source,
+                                                          edit):
+    # a traced or read loop is written from its integer columns only while
+    # its points were never read or assigned; after that the writer and n
+    # follow the points, exactly as for a loop built from points
+    doc = ContourDocument(20, 16, trace_boundaries(rect_with_hole_image()))
+    if source == "read":
+        write_contour(tmp_path / "first.json", doc)
+        doc = read_contour(tmp_path / "first.json")
+    edited = doc.contours[-1]
+    _EDITS[edit](edited)
+    assert edited.n == len(edited.points)
+    got = _written_or_refused(tmp_path / "out.json", doc)
+    built = ContourDocument(doc.width, doc.height,
+                            [Contour(list(c.points)) for c in doc.contours])
+    assert got == _written_or_refused(tmp_path / "out.json", built)
+
+
 def test_write_contour_writes_signed_zero_bool_and_int_as_ints(tmp_path):
     path = tmp_path / "odd.json"
     write_contour(path, ContourDocument(3, 2, [Contour(

@@ -1,7 +1,10 @@
 """Properties of the whole pipeline on random bitmaps, and of the three
 readers on fuzzed bytes."""
 
+import contextlib
+import io
 import json
+import logging
 import math
 import os
 import tempfile
@@ -9,8 +12,10 @@ import tempfile
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beziertrace.contour import (ContourDocument, RasterImage, load_image,
-                                 read_contour, trace_boundaries, write_contour)
+from beziertrace import cli
+from beziertrace.contour import (Contour, ContourDocument, RasterImage,
+                                 load_image, read_contour, trace_boundaries,
+                                 write_contour)
 from beziertrace.corner_detect import CornerParams
 from beziertrace.errors import FormatError
 from beziertrace.metrics import fit_report
@@ -90,6 +95,60 @@ def test_pipeline_invariants_on_random_bitmaps(img, support, max_error):
     doc = SplineDocument(img.width, img.height, [s for _, s in pairs], report,
                          {"support_length": support, "max_error": max_error})
     assert _rewrites_equal(write_spline, read_spline, doc)
+
+
+class _Warnings(logging.Handler):
+    """The package's warnings, as the CLI prints them."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+@contextlib.contextmanager
+def _captured_warnings():
+    handler = _Warnings()
+    logger = logging.getLogger("beziertrace")
+    logger.addHandler(handler)
+    try:
+        yield handler.lines
+    finally:
+        logger.removeHandler(handler)
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@given(img=bitmaps())
+def test_trace_command_writes_what_point_built_loops_write(img):
+    # the trace command writes loops from the tracer's integer columns;
+    # copies built from their points write the same bytes, and the file
+    # read back (columns again) rewrites itself byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        page, traced, built, again = (os.path.join(tmp, name) for name in (
+            "page.pbm", "traced.json", "built.json", "again.json"))
+        with open(page, "wb") as fh:
+            fh.write(pbm_raw_bytes(img))
+        out = io.StringIO()
+        with _captured_warnings() as command_warnings, \
+                contextlib.redirect_stdout(out):
+            assert cli.main(["trace", page, "-o", traced]) == 0
+        with _captured_warnings() as tracer_warnings:
+            loops = [Contour(list(c.points))
+                     for c in trace_boundaries(load_image(page))]
+        write_contour(built, ContourDocument(img.width, img.height, loops))
+        assert _read_bytes(traced) == _read_bytes(built)
+        assert command_warnings == tracer_warnings
+        counts = ", ".join(str(len(c.points)) for c in loops) or "none"
+        assert out.getvalue() == (f"traced {len(loops)} loop(s) "
+                                  f"(points: {counts})\n")
+        write_contour(again, read_contour(traced))
+        assert _read_bytes(again) == _read_bytes(traced)
 
 
 @given(img=bitmaps(), data=st.data())

@@ -236,3 +236,29 @@ def test_write_spline_rejects_nan(tmp_path):
     doc = SplineDocument(4, 4, [Spline([FittedSegment(bad, (0, 3), [])])])
     with pytest.raises(FormatError):
         write_spline(tmp_path / "bad.json", doc)
+
+
+def _cyclic_config():
+    config = {"support_length": 14}
+    config["self"] = config
+    return config
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"max_error": float("nan")},
+     "document contains non-finite numbers: Out of range float values are "
+     "not JSON compliant"),
+    (_cyclic_config(), "document contains a circular reference"),
+    ({"layers": {"breaks"}}, "document cannot be encoded as JSON: Object of "
+                             "type set is not JSON serializable"),
+])
+def test_write_spline_words_an_unwritable_config_by_its_cause(tmp_path,
+                                                              config, message):
+    # the config comes from the caller, so the writer keeps json's cycle
+    # check; each refusal is a FormatError before the file is opened
+    doc = SplineDocument(4, 4, [], None, config)
+    path = tmp_path / "bad.json"
+    with pytest.raises(FormatError) as err:
+        write_spline(path, doc)
+    assert str(err.value).startswith(message)
+    assert not path.exists()

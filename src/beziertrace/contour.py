@@ -73,11 +73,12 @@ class Contour:
     point back to the first.  Outer boundaries carry positive shoelace area
     under the stored (x, y) coordinates, holes negative.
 
-    trace_boundaries and read_contour build a contour from the integer x and
-    y columns they hold.  Its Point2 list is built from them the first time
-    points is read, and the columns are dropped then, so a list the caller
-    may change is never written from stale columns.  Until then n is their
-    length and write_contour writes them as they are.
+    trace_boundaries and read_contour, its only builders from columns, build
+    a contour from the integer x and y columns they hold and have checked.
+    Its Point2 list is built from them the first time points is read, and
+    the columns are dropped then, so a list the caller may change is never
+    written from stale columns.  Until then n is their length and
+    write_contour writes them as they are, with no second check.
     """
 
     __slots__ = ("_pts", "_cols")
@@ -466,8 +467,9 @@ def _write_json(path: str, payload, check_circular: bool = True) -> None:
     """Write payload as canonical JSON: sorted keys, no spaces, ASCII and a
     trailing newline.  A payload JSON cannot encode (a non-finite number, a
     circular reference, a value of another type) is refused before the file
-    is opened.  check_circular=False skips json's cycle check, for a payload
-    whose every container the caller built itself."""
+    is opened.  check_circular=False skips json's cycle check: write_contour
+    passes it, as it builds every container of its payload itself, while
+    write_spline keeps the check for the config it is given."""
     try:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=False, check_circular=check_circular)
@@ -485,6 +487,14 @@ def _reject_constant(value: str):
     raise FormatError(f"non-finite number {value!r} in document")
 
 
+def _field_errors(path: str):
+    """The maker of the FormatErrors that name a field of the file at path,
+    for its reader and its writer alike."""
+    def fail(field_name: str, message: str) -> FormatError:
+        return FormatError(f"{field_name}: {message}", path=str(path))
+    return fail
+
+
 def _load_json(path: str, what: str, keys):
     """The JSON object in the ASCII file at path, which must hold every key
     of keys, and the maker of field errors that name the file."""
@@ -497,10 +507,7 @@ def _load_json(path: str, what: str, keys):
         # ValueError covers bad JSON, bad ASCII, over-long integers and the
         # non-finite constants; RecursionError, nesting too deep to parse
         raise FormatError(f"not valid JSON: {exc}", path=str(path)) from exc
-
-    def fail(field_name: str, message: str) -> FormatError:
-        return FormatError(f"{field_name}: {message}", path=str(path))
-
+    fail = _field_errors(path)
     if not isinstance(payload, dict):
         raise fail("document", "expected a JSON object")
     for key in keys:
@@ -520,41 +527,28 @@ def _integer(value, where: str, least: int, fail) -> int:
 _EXACT_INT = 2 ** 53
 
 
-def _pixel_pairs(where: str, points, path) -> list:
-    """points as (x, y) pairs of ints, under the reader's rule: a coordinate
-    that is not an integral value within +-2**53 is a FormatError.  The loop
-    is checked whole, and point by point only to name the first bad one."""
-    try:
-        xs, ys = zip(*points)
-        ix, iy = tuple(map(int, xs)), tuple(map(int, ys))
-        if ix == xs and iy == ys and max(map(abs, ix + iy)) <= _EXACT_INT:
-            return list(zip(ix, iy))
-    except (ValueError, OverflowError, TypeError):  # no points, NaN, inf
-        pass
+def _pixel_pairs(where: str, points, fail) -> list:
+    """points as (x, y) pairs of ints, under the reader's rule, checked
+    point by point: the first coordinate that is not an integral value
+    within +-2**53 is a FormatError."""
     pairs = []
     for pi, (x, y) in enumerate(points):
         if not (abs(x) <= _EXACT_INT and abs(y) <= _EXACT_INT
                 and x % 1 == 0 and y % 1 == 0):
-            raise FormatError(f"{where}.points[{pi}]: expected integral "
-                              f"coordinates within +-2**53, got {(x, y)!r}",
-                              path=str(path))
+            raise fail(f"{where}.points[{pi}]", "expected integral "
+                       f"coordinates within +-2**53, got {(x, y)!r}")
         pairs.append((int(x), int(y)))
     return pairs
 
 
-def _exact_ints(xs, ys) -> bool:
-    """Whether the columns xs and ys hold only ints within +-2**53 (a bool
-    is no int), checked in bulk."""
-    return ({*map(type, xs), *map(type, ys)} == {int}
-            and max(map(abs, xs + ys)) <= _EXACT_INT)
-
-
 def _pixel_columns(raw, where: str, fail) -> tuple:
     """The x and y columns of raw, which holds only [x, y] pairs of integers
-    within +-2**53: checked in bulk, pair by pair only to word the error."""
+    within +-2**53 (a bool is no integer): checked in bulk, pair by pair
+    only to word the error."""
     if set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
         xs, ys = zip(*raw)
-        if _exact_ints(xs, ys):
+        if ({*map(type, xs), *map(type, ys)} == {int}
+                and max(map(abs, xs + ys)) <= _EXACT_INT):
             return xs, ys
     for pi, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
@@ -567,32 +561,26 @@ def _pixel_columns(raw, where: str, fail) -> tuple:
     return tuple(zip(*raw)) or ((), ())
 
 
-def _loop_pairs(where: str, c: Contour, path) -> list:
-    """c's points as (x, y) pairs of ints: straight from its columns while
-    its points were never read or assigned, else by _pixel_pairs."""
-    cols = c._cols
-    if cols is not None and _exact_ints(*cols):
-        return list(zip(*cols))
-    return _pixel_pairs(where, c.points, path)
-
-
 def write_contour(path: str, doc: ContourDocument) -> None:
-    """Write traced loops as a canonical JSON document.  A coordinate the
-    reader would refuse is a FormatError before the file is opened.
+    """Write traced loops as a canonical JSON document.  A width, height or
+    coordinate the reader would refuse is a FormatError before the file is
+    opened.
 
-    A loop still held as integer columns (trace_boundaries, read_contour)
-    is written from them, checked in bulk; any other goes through its
-    points.  Every container of the payload is built here, so json's cycle
-    check is skipped when the dimensions are ints."""
+    A loop still held as integer columns was checked where it entered
+    (trace_boundaries, read_contour) and is written as it is; any other is
+    checked point by point (_pixel_pairs).  Every container of the payload
+    is built here, so json's cycle check is skipped."""
+    fail = _field_errors(path)
     _write_json(path, {
-        "width": doc.width,
-        "height": doc.height,
+        "width": _integer(doc.width, "width", 1, fail),
+        "height": _integer(doc.height, "height", 1, fail),
         "contours": [
             {"closed": True,
-             "points": _loop_pairs(f"contours[{ci}]", c, path)}
+             "points": _pixel_pairs(f"contours[{ci}]", c.points, fail)
+             if c._cols is None else list(zip(*c._cols))}
             for ci, c in enumerate(doc.contours)
         ],
-    }, check_circular=not (type(doc.width) is type(doc.height) is int))
+    }, check_circular=False)
 
 
 def read_contour(path: str) -> ContourDocument:

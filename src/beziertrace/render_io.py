@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .bezier_core import CubicBezier, Point2
-from .contour import _integer, _load_json, _write_json
+from .contour import _field_errors, _integer, _load_json, _write_json
 from .errors import DomainError, FormatError
 from .metrics import FitReport
 from .subdivision import FittedSegment, Spline
@@ -116,11 +116,15 @@ def _report_payload(report: FitReport | None):
 
 
 def write_spline(path: str, doc: SplineDocument) -> None:
-    """Write the document as canonical JSON (stable bytes for stable input)."""
+    """Write the document as canonical JSON (stable bytes for stable input).
+    A width or height the reader would refuse, or a value JSON cannot encode,
+    is a FormatError before the file is opened.  json's cycle check stays
+    on, as config comes from the caller."""
+    fail = _field_errors(path)
     _write_json(path, {
         "format_version": FORMAT_VERSION,
-        "width": doc.width,
-        "height": doc.height,
+        "width": _integer(doc.width, "width", 1, fail),
+        "height": _integer(doc.height, "height", 1, fail),
         "config": doc.config,
         "report": _report_payload(doc.report),
         "contours": [

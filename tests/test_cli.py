@@ -604,6 +604,38 @@ def test_fit_repeat_flag(tmp_path, rect_pbm, capsys):
     assert report["wall_time"] > 0.0
 
 
+def test_cli_import_leaves_statistics_unloaded():
+    # the --repeat median is taken inline: statistics and the fractions and
+    # decimal modules it pulls in would only add to every start-up
+    proc = _python("import sys, beziertrace.cli\n"
+                   "print([m for m in ('statistics', 'fractions', 'decimal')"
+                   " if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("spans", [(0.25, 0.5), (0.75, 0.125, 0.5)])
+def test_fit_repeat_reports_the_median_span(tmp_path, rect_pbm, spans):
+    # with the clock scripted, --repeat reports statistics.median of the
+    # timed spans, at an even and an odd count, and the fit loads no
+    # statistics module to find it
+    import statistics
+    contours = _trace(tmp_path, rect_pbm)
+    proc = _python(
+        "import sys, time, beziertrace.cli\n"
+        f"ticks = iter([t for s in {spans!r} for t in (10.0, 10.0 + s)])\n"
+        "time.perf_counter = lambda: next(ticks)\n"
+        f"code = beziertrace.cli.main(['fit', {str(contours)!r}, '-o', "
+        f"{str(tmp_path / 'r')!r}, '--repeat', '{len(spans)}', "
+        "'--threads', '1', '--json'])\n"
+        "print(code, next(ticks, None), 'statistics' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    report, tail = proc.stdout.splitlines()
+    assert tail == "0 None False"
+    assert json.loads(report)["wall_time"] == statistics.median(
+        [(10.0 + s) - 10.0 for s in spans])
+
+
 def test_fit_repeat_warns_once_per_skipped_loop(tmp_path, caplog):
     # the 3x3 hole traces to a loop too short for the default support chord
     p = tmp_path / "holes.pbm"

@@ -1,9 +1,11 @@
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from beziertrace.bezier_core import CubicBezier, Point2
-from beziertrace.contour import read_contour, trace_boundaries
+from beziertrace.contour import (ContourDocument, read_contour,
+                                 trace_boundaries, write_contour)
 from beziertrace.errors import DomainError, FormatError
 from beziertrace.metrics import FitReport
 from beziertrace.render_io import (SplineDocument, path_data, read_spline,
@@ -262,3 +264,28 @@ def test_write_spline_words_an_unwritable_config_by_its_cause(tmp_path,
         write_spline(path, doc)
     assert str(err.value).startswith(message)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("write, read, document", [
+    (write_contour, read_contour, ContourDocument),
+    (write_spline, read_spline, SplineDocument),
+])
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", [0, -3, True, 2.5])
+def test_writers_refuse_the_dimensions_their_readers_refuse(tmp_path, write,
+                                                            read, document,
+                                                            field, value):
+    # the writer refuses, before the file is opened, with the very message
+    # its reader gives for a file that holds the same value
+    dims = {"width": 4, "height": 4, field: value}
+    path = tmp_path / "doc.json"
+    with pytest.raises(FormatError) as wrote:
+        write(path, document(dims["width"], dims["height"], []))
+    assert not path.exists()
+    write(path, document(4, 4, []))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **dims}))
+    with pytest.raises(FormatError) as read_back:
+        read(path)
+    assert str(wrote.value) == str(read_back.value)
+    assert str(read_back.value).endswith(
+        f"{field}: expected an integer >= 1, got {value!r}")
